@@ -250,8 +250,10 @@ type Result struct {
 
 	// Contention-manager aggregates (DrTM+R systems). HotKeys ranks records
 	// by attributed abort count, worst first — the per-key complement of
-	// AbortMatrix. QueueWaits counts hot-key FIFO admissions and QueueWait
-	// is the merged queue-wait histogram (zero-count when nothing queued).
+	// AbortMatrix. QueueWaits counts hot-key FIFO admissions that polled
+	// behind a holder; QueueWait is the merged histogram of their positive
+	// virtual wait times (it can count fewer than QueueWaits: a worker with
+	// no sibling coroutines waits at zero virtual cost).
 	HotKeys    []KeyAborts
 	QueueWaits uint64
 	QueueWait  obs.Histogram

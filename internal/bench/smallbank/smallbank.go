@@ -163,13 +163,15 @@ func CreateTables(store *memstore.Store, c Config) {
 }
 
 // Load populates machine node's share of accounts (call for primaries and,
-// with the same arguments, for each backup holding a copy).
+// with the same arguments, for each backup holding a copy). It writes
+// through memstore.Table.Load, so it must run before the machine begins its
+// first transaction.
 func Load(store *memstore.Store, c Config, shard cluster.ShardID) error {
 	lo := uint64(shard) * uint64(c.AccountsPerNode)
 	hi := lo + uint64(c.AccountsPerNode)
 	for key := lo; key < hi; key++ {
 		for _, id := range []memstore.TableID{TableChecking, TableSavings} {
-			if _, err := store.Table(id).Insert(key, EncBalance(c.InitialBalance)); err != nil {
+			if _, err := store.Table(id).Load(key, EncBalance(c.InitialBalance)); err != nil {
 				return fmt.Errorf("smallbank load key %d: %w", key, err)
 			}
 		}

@@ -349,13 +349,15 @@ func ApplyStockOrder(b []byte, qty uint64, remote bool) {
 	}
 }
 
-// Loader populates one machine's share (call with the same node id on the
-// primary and on each backup machine that replicates it).
+// Load populates one machine's share (call with the same node id on the
+// primary and on each backup machine that replicates it). Like every loader
+// here it writes through memstore.Table.Load, so it must run before the
+// machine begins its first transaction.
 func Load(store *memstore.Store, c Config, node int, seed uint64) error {
 	rng := sim.NewRand(seed + 1)
 	// ITEM replicates everywhere.
 	for i := 1; i <= ItemCount; i++ {
-		if _, err := store.Table(TableItem).Insert(IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
+		if _, err := store.Table(TableItem).Load(IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
 			return fmt.Errorf("tpcc load item %d: %w", i, err)
 		}
 	}
@@ -370,24 +372,24 @@ func Load(store *memstore.Store, c Config, node int, seed uint64) error {
 // LoadWarehouse populates a single warehouse's rows into store (exported so
 // backups can load exactly the shards they replicate).
 func LoadWarehouse(store *memstore.Store, w int, rng *sim.Rand) error {
-	if _, err := store.Table(TableWarehouse).Insert(WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
+	if _, err := store.Table(TableWarehouse).Load(WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
 		return fmt.Errorf("tpcc load warehouse %d: %w", w, err)
 	}
 	for d := 1; d <= DistrictsPerWarehouse; d++ {
-		if _, err := store.Table(TableDistrict).Insert(DKey(w, d), DistrictRow(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
+		if _, err := store.Table(TableDistrict).Load(DKey(w, d), DistrictRow(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
 			return err
 		}
 		for cu := 1; cu <= CustomersPerDistrict; cu++ {
-			if _, err := store.Table(TableCustomer).Insert(CKey(w, d, cu), CustomerRow(-10, uint64(rng.Intn(5000)))); err != nil {
+			if _, err := store.Table(TableCustomer).Load(CKey(w, d, cu), CustomerRow(-10, uint64(rng.Intn(5000)))); err != nil {
 				return err
 			}
-			if _, err := store.Table(TableCustLastOrder).Insert(CKey(w, d, cu), make([]byte, lastOrderSize)); err != nil {
+			if _, err := store.Table(TableCustLastOrder).Load(CKey(w, d, cu), make([]byte, lastOrderSize)); err != nil {
 				return err
 			}
 		}
 	}
 	for i := 1; i <= StockPerWarehouse; i++ {
-		if _, err := store.Table(TableStock).Insert(SKey(w, i), StockRow(uint64(10+rng.Intn(91)))); err != nil {
+		if _, err := store.Table(TableStock).Load(SKey(w, i), StockRow(uint64(10+rng.Intn(91)))); err != nil {
 			return err
 		}
 	}

@@ -72,10 +72,7 @@ func (a *Arena) Alloc(n int) uint64 {
 // Zero clears n bytes at off non-transactionally (for freshly allocated
 // blocks before they are published).
 func (a *Arena) Zero(off uint64, n int) {
-	mem := a.eng.Mem()
-	for i := 0; i < n; i++ {
-		mem[off+uint64(i)] = 0
-	}
+	clear(a.eng.Mem()[off : off+uint64(n)])
 }
 
 // Free returns a block to its size class.

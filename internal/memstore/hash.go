@@ -23,7 +23,9 @@ import (
 //
 //   - Mutations (insert/delete) happen only on the host machine, inside an
 //     HTM transaction (§4.3): strong atomicity makes them atomic against
-//     concurrent local readers and remote RDMA bucket reads alike.
+//     concurrent local readers and remote RDMA bucket reads alike. The one
+//     exception is the set-up path (loadInsert), which runs before any
+//     such reader exists.
 //
 // Keys are offset by +1 internally so that 0 can mean "empty slot"; user key
 // math.MaxUint64 is therefore not storable, which no workload uses.
@@ -222,6 +224,39 @@ func (h *HashTable) Insert(key uint64, recOff uint64) error {
 			return tx.Write(off+bucketNextOff, nxt[:])
 		}
 	})
+}
+
+// loadInsert is Insert for Table.Load's set-up path: it walks the chain in
+// plain memory and claims the slot Insert would — the first free slot in
+// chain order once the whole chain is known not to hold key, else slot 0 of
+// an overflow bucket appended to the full chain's tail.
+func (h *HashTable) loadInsert(key uint64, recOff uint64) error {
+	mem := h.eng.Mem()
+	ik := key + 1
+	var slot, tail uint64 // slot is the first free slot's offset; 0 = none
+	for off := h.BucketOff(key); off != 0; off = binary.LittleEndian.Uint64(mem[off+bucketNextOff:]) {
+		for s := uint64(0); s < BucketSlots; s++ {
+			so := off + bucketSlot0Off + s*16
+			switch binary.LittleEndian.Uint64(mem[so:]) {
+			case ik:
+				return ErrKeyExists
+			case 0:
+				if slot == 0 {
+					slot = so
+				}
+			}
+		}
+		tail = off
+	}
+	if slot == 0 {
+		nb := h.arena.Alloc(bucketBytes)
+		h.arena.Zero(nb, bucketBytes)
+		binary.LittleEndian.PutUint64(mem[tail+bucketNextOff:], nb)
+		slot = nb + bucketSlot0Off
+	}
+	binary.LittleEndian.PutUint64(mem[slot:], ik)
+	binary.LittleEndian.PutUint64(mem[slot+8:], recOff)
+	return nil
 }
 
 func (h *HashTable) chainHas(tx *htm.Txn, off uint64, ik uint64) (bool, error) {

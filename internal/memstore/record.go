@@ -154,19 +154,19 @@ func PutRecInc(rec []byte, inc uint64) {
 	binary.LittleEndian.PutUint64(rec[IncOff:IncOff+8], inc)
 }
 
-// PutRecLock stores a lock word into a record image.
-func PutRecLock(rec []byte, w uint64) {
-	binary.LittleEndian.PutUint64(rec[LockOff:LockOff+8], w)
-}
-
 // BuildRecordImage assembles a full record image: header (lock=0, given
 // incarnation and seq) plus scattered value and stamped versions. Used when
 // constructing the payload of an RDMA WRITE-back (C.5) and by loading.
 func BuildRecordImage(valueSize int, value []byte, inc, seq uint64) []byte {
 	rec := make([]byte, RecordBytes(valueSize))
+	writeRecordImage(rec, value, inc, seq)
+	return rec
+}
+
+// writeRecordImage fills a zeroed record rec with BuildRecordImage's image.
+func writeRecordImage(rec, value []byte, inc, seq uint64) {
 	PutRecInc(rec, inc)
 	PutRecSeq(rec, seq)
 	ScatterValue(rec, value)
 	StampVersions(rec, seq)
-	return rec
 }

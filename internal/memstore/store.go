@@ -118,12 +118,6 @@ func (t *Table) Lookup(key uint64) (off uint64, ok bool) {
 	return off, true
 }
 
-// LookupLoc resolves key to its packed (offset, incarnation) location, the
-// form remote machines read out of bucket images.
-func (t *Table) LookupLoc(key uint64) (packed uint64, ok bool) {
-	return t.hash.Lookup(key)
-}
-
 // Insert allocates and initializes a record for key with the given value and
 // publishes it in the indexes. The record starts unlocked, committable
 // (even seqnum 0) and with its incarnation bumped past whatever previously
@@ -138,9 +132,8 @@ func (t *Table) Insert(key uint64, value []byte) (uint64, error) {
 // when optimistic replication is on, and bumps it to 2 once the insert's
 // log entries are durable (§5.1 applied to inserts).
 func (t *Table) InsertWithSeq(key uint64, value []byte, seq uint64) (uint64, error) {
-	if len(value) > t.Spec.ValueSize {
-		return 0, fmt.Errorf("memstore: value size %d exceeds table %s's %d",
-			len(value), t.Spec.Name, t.Spec.ValueSize)
+	if err := t.checkValueSize(value); err != nil {
+		return 0, err
 	}
 	off := t.store.arena.Alloc(t.RecBytes)
 	mem := t.store.eng.Mem()
@@ -157,6 +150,46 @@ func (t *Table) InsertWithSeq(key uint64, value []byte, seq uint64) (uint64, err
 		t.ordered.Put(key, off)
 	}
 	return off, nil
+}
+
+// Load is Insert for the set-up path: it fills the table before the machine
+// runs any transaction, so it writes the record and its hash binding in
+// plain memory instead of inside a simulated HTM transaction. HTM only makes
+// an insert atomic against concurrent local readers and remote RDMA bucket
+// reads, and none exist yet. Load keeps Insert's checks (value size, fresh
+// incarnation, ErrKeyExists with the block freed) and leaves byte-for-byte
+// the memory image Insert would. It panics once the machine's HTM engine has
+// begun a transaction: a loader running after the store is shared would
+// race live transactions.
+func (t *Table) Load(key uint64, value []byte) (uint64, error) {
+	eng := t.store.eng
+	if eng.Snapshot().Begins != 0 {
+		panic(fmt.Sprintf("memstore: Load into table %s after the machine began an HTM transaction", t.Spec.Name))
+	}
+	if err := t.checkValueSize(value); err != nil {
+		return 0, err
+	}
+	off := t.store.arena.Alloc(t.RecBytes)
+	rec := eng.Mem()[off : off+uint64(t.RecBytes)]
+	inc := RecInc(rec) + 1
+	clear(rec) // the block may hold a freed record
+	writeRecordImage(rec, value, inc, 0)
+	if err := t.hash.loadInsert(key, PackLoc(off, inc)); err != nil {
+		t.store.arena.Free(off, t.RecBytes)
+		return 0, err
+	}
+	if t.ordered != nil {
+		t.ordered.Put(key, off)
+	}
+	return off, nil
+}
+
+func (t *Table) checkValueSize(value []byte) error {
+	if len(value) > t.Spec.ValueSize {
+		return fmt.Errorf("memstore: value size %d exceeds table %s's %d",
+			len(value), t.Spec.Name, t.Spec.ValueSize)
+	}
+	return nil
 }
 
 // Delete unbinds key, bumps the record's incarnation (invalidating cached

@@ -157,7 +157,8 @@ func (cm *contentionManager) gateFor(hk HotKey) *keyGate {
 // OS-scheduling delay) charges host noise, not model. A parked waiter's
 // clock therefore grows exactly the way it does for doorbell parking: by
 // the virtual work its sibling coroutines perform on the shared clock
-// while it waits. That growth is what Stats.QueueWaitHist records.
+// while it waits. That growth is what Stats.QueueWaitHist records; the
+// count of admissions that waited at all is Stats.QueueWaits.
 type keyGate struct {
 	mu        sync.Mutex
 	next      uint64
@@ -219,18 +220,22 @@ func (g *keyGate) abandon(t uint64) {
 // parks coroutine-style: every poll yields to sibling coroutines, hands the
 // deterministic gate to other workers, and cedes the OS thread — never a
 // virtual-time backoff, which is the whole point of queueing instead of
-// backing off. On admission the waiter's own-clock growth since enqueue
+// backing off. An admission that polled at least once counts as a queue
+// wait (Stats.QueueWaits). The waiter's own-clock growth since enqueue
 // (sibling work on the shared clock while it was parked; see keyGate) is
-// recorded as the queue wait (Stats.QueueWaits/QueueWaitHist, plus an
-// EvPhase/StageQueue trace span). A bounded wait that runs out produces a
-// keyed StageQueue abort and the caller retries ungated.
+// its virtual cost, recorded in Stats.QueueWaitNanos/QueueWaitHist plus an
+// EvPhase/StageQueue trace span when positive: a worker with no sibling
+// coroutines queues at zero virtual cost. A bounded wait that runs out
+// produces a keyed StageQueue abort and the caller retries ungated.
 func (w *Worker) acquireGate(g *keyGate, hk HotKey) (ok bool, qerr *Error) {
 	start := w.Clk.Now()
 	t := g.enqueue()
 	for poll := 0; ; poll++ {
 		if g.tryEnter(t) {
-			if wait := w.Clk.Now() - start; wait > 0 {
+			if poll > 0 {
 				w.Stats.QueueWaits++
+			}
+			if wait := w.Clk.Now() - start; wait > 0 {
 				w.Stats.QueueWaitNanos += uint64(wait)
 				w.Stats.QueueWaitHist.Record(wait)
 				if w.Rec != nil {

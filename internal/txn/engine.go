@@ -435,9 +435,10 @@ type Stats struct {
 
 	// Contention-manager counters. KeyAborts counts aborts attributed to a
 	// specific record (whenever the abort carries a key, in every mode) —
-	// the source of Result.AbortSummary's top-K hot keys. QueueWaits /
-	// QueueWaitNanos / QueueWaitHist measure hot-key FIFO admissions that
-	// actually waited (an immediate empty-queue pass-through records nothing).
+	// the source of Result.AbortSummary's top-K hot keys. QueueWaits counts
+	// hot-key FIFO admissions that polled behind a holder at least once (an
+	// immediate pass-through records nothing); QueueWaitNanos/QueueWaitHist
+	// record the virtual time those waits cost, only when it is positive.
 	KeyAborts      map[HotKey]uint64
 	QueueWaits     uint64
 	QueueWaitNanos uint64
