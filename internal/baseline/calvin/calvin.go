@@ -26,6 +26,7 @@
 package calvin
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,6 +44,10 @@ type Ref struct {
 	Key   uint64
 	Write bool
 }
+
+// ErrMissing is returned when a declared record does not exist: the caller's
+// read/write set is stale.
+var ErrMissing = errors.New("calvin: missing record")
 
 // System is the cluster-wide Calvin deployment (sequencer + per-machine
 // lock managers).
@@ -265,7 +270,7 @@ func (w *Worker) Run(refs []Ref, body func(c *Ctx) error) error {
 		off, ok := tbl.Lookup(r.Key)
 		if !ok {
 			s.releaseAll(seq, perNode)
-			return fmt.Errorf("calvin: missing record %d/%d", r.Table, r.Key)
+			return fmt.Errorf("%w %d/%d", ErrMissing, r.Table, r.Key)
 		}
 		if node == w.Node {
 			ctx.local[rk] = off

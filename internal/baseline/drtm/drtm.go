@@ -15,9 +15,9 @@
 //     often under contention).
 //
 // The workload driver must precompute the sets (the restriction DrTM+R
-// removes); TPC-C dependent transactions are handled the way DrTM really
-// handled them — with knowledge extracted before execution (the paper used
-// transaction chopping).
+// removes). For TPC-C's dependent transactions the harness extracts them
+// with a footprint pre-pass before execution, standing in for the
+// transaction chopping the paper used.
 package drtm
 
 import (
@@ -110,6 +110,10 @@ type refState struct {
 // ErrAborted is returned when the transaction cannot make progress and the
 // caller should retry.
 var ErrAborted = errors.New("drtm: aborted")
+
+// ErrMissing is returned when a declared record does not exist: the caller's
+// read/write set is stale.
+var ErrMissing = errors.New("drtm: missing record")
 
 // Get reads a declared record.
 func (c *Ctx) Get(table memstore.TableID, key uint64) ([]byte, error) {
@@ -210,7 +214,6 @@ func (w *Worker) backoff(attempt int) {
 	sim.Spin(0)
 }
 
-
 const bigHTMRetries = 8
 
 func (w *Worker) attempt(refs []Ref, body func(c *Ctx) error, attempt int) error {
@@ -236,7 +239,7 @@ func (w *Worker) attempt(refs []Ref, body func(c *Ctx) error, attempt int) error
 		if st.local {
 			off, ok := w.E.M.Store.Table(r.Table).Lookup(r.Key)
 			if !ok {
-				return fmt.Errorf("drtm: missing local record %d/%d", r.Table, r.Key)
+				return fmt.Errorf("%w %d/%d (local)", ErrMissing, r.Table, r.Key)
 			}
 			st.off = off
 		} else {
@@ -407,5 +410,5 @@ func (w *Worker) remoteLookup(node rdma.NodeID, table memstore.TableID, key uint
 		}
 		bucketOff = next
 	}
-	return 0, fmt.Errorf("drtm: missing remote record %d/%d", table, key)
+	return 0, fmt.Errorf("%w %d/%d (remote)", ErrMissing, table, key)
 }

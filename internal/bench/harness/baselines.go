@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"time"
@@ -17,9 +18,342 @@ import (
 )
 
 // The comparison baselines run TPC-C only, matching the figures they appear
-// in (Figs 10, 11, 17, 18 and the Silo paragraph of §7.2).
+// in (Figs 10, 11, 17, 18 and the Silo paragraph of §7.2). They run the same
+// transaction bodies as DrTM+R (package tpcc); only the tpcc.System under
+// the bodies differs.
 
-func simRand(seed uint64) *sim.Rand { return sim.NewRand(seed) }
+// runBaseline measures DrTM, Calvin or Silo.
+func runBaseline(o Options) Result {
+	if o.Workload != WLTPCC {
+		panic("harness: the baselines implement TPC-C only")
+	}
+	if o.System == SysSilo {
+		return runSilo(o)
+	}
+	c, wcfgAny := buildCluster(o, 1)
+	defer c.Stop()
+	wcfg := wcfgAny.(tpcc.Config)
+	newWorker := BaselineTPCC(o.System, c, wcfg)
+	c.Start()
+	return driveBaseline(o, wcfg, func(node, tid int, g *tpcc.Gen) baselineWorker {
+		w := newWorker(node, tid)
+		w.ex = tpcc.NewExecutorOn(w, g)
+		return w
+	})
+}
+
+// baselineWorker is one baseline worker thread as driveBaseline sees it.
+type baselineWorker interface {
+	// runOne runs the next transaction of the worker's stream.
+	runOne() (tpcc.TxType, error)
+	totals() workerTotals
+}
+
+// workerTotals is what one worker contributes to the Result.
+type workerTotals struct {
+	committed, aborts, fallbacks uint64
+	virtual                      int64 // the worker's clock at the end
+}
+
+// driveBaseline runs o.TxPerWorker transactions on each worker newWorker
+// builds. Worker (node, tid) draws the transaction stream the DrTM+R worker
+// in the same position draws.
+func driveBaseline(o Options, wcfg tpcc.Config, newWorker func(node, tid int, g *tpcc.Gen) baselineWorker) Result {
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		sum       workerTotals
+		newOrders uint64
+	)
+	for n := 0; n < o.Nodes; n++ {
+		for t := 0; t < o.ThreadsPerNode; t++ {
+			wg.Add(1)
+			go func(node, tid int) {
+				defer wg.Done()
+				whs := wcfg.WarehousesOf(node)
+				w := newWorker(node, tid, tpcc.NewGen(wcfg, whs[tid%len(whs)], o.Seed+uint64(node*100+tid)))
+				var localNO uint64
+				for i := 0; i < o.TxPerWorker; i++ {
+					if ty, err := w.runOne(); err == nil && ty == tpcc.TxNewOrder {
+						localNO++
+					}
+				}
+				tot := w.totals()
+				mu.Lock()
+				sum.committed += tot.committed
+				sum.aborts += tot.aborts
+				sum.fallbacks += tot.fallbacks
+				sum.virtual = max(sum.virtual, tot.virtual)
+				newOrders += localNO
+				mu.Unlock()
+			}(n, t)
+		}
+	}
+	wg.Wait()
+	return summarize(o, sum.committed, newOrders, sum.aborts, sum.fallbacks, sum.virtual)
+}
+
+// ------------------------------------------------------- DrTM, Calvin ----
+
+// BaselineTPCC deploys DrTM or Calvin on cluster c, which holds wcfg's TPC-C
+// database, and returns the constructor of its workers. Call it before
+// c.Start and the constructor after.
+func BaselineTPCC(sys System, c *cluster.Cluster, wcfg tpcc.Config) func(node, tid int) *DeclaredWorker {
+	cost := txn.DefaultCosts()
+	switch sys {
+	case SysDrTM:
+		var engines []*drtm.Engine
+		for _, m := range c.Machines {
+			engines = append(engines, drtm.NewEngine(m, wcfg.Partitioner(m.ID), cost))
+		}
+		return func(node, tid int) *DeclaredWorker {
+			e := engines[node]
+			return &DeclaredWorker{c: c, node: e.M.ID, part: e.Part, eng: drtmEngine{w: e.NewWorker(tid), c: c}}
+		}
+	case SysCalvin:
+		// Calvin runs one global plan, so its partitioner cannot be
+		// machine-relative: ITEM, replicated on every machine, is routed
+		// to machine 0.
+		part := wcfg.Partitioner(0)
+		s := calvin.New(c, part, cost)
+		return func(node, tid int) *DeclaredWorker {
+			w := s.NewWorker(rdma.NodeID(node), tid)
+			return &DeclaredWorker{c: c, node: w.Node, part: part, eng: calvinEngine{w: w, c: c}}
+		}
+	default:
+		panic("harness: " + sys.String() + " takes no declared read/write sets")
+	}
+}
+
+// DeclaredWorker is one worker of a baseline that must know a transaction's
+// read/write set before running it (DrTM, Calvin). Run finds the set with a
+// footprint pre-pass: the body runs once against committed rows, outside
+// any transaction and charging no virtual time, and every record it touches
+// is declared, as written if the body ever writes it. The engine then runs
+// the body over the declared set. Inserts and deletes are not declared:
+// they are buffered and applied once the transaction commits. If the real
+// run strays outside the declared set, or a declared record has vanished,
+// the footprint was stale, and Run counts an abort, redoes the pre-pass and
+// retries. This is Calvin's OLLP; it stands in for the transaction chopping
+// DrTM used.
+type DeclaredWorker struct {
+	c     *cluster.Cluster
+	node  rdma.NodeID
+	part  txn.Partitioner
+	eng   declaredEngine
+	stale uint64 // footprint retries
+
+	ex *tpcc.Executor // the driver's executor over this worker
+}
+
+// declaredEngine is the DrTM or Calvin worker under a DeclaredWorker.
+type declaredEngine interface {
+	// run executes body as one transaction over the declared refs.
+	run(refs []ref, body func(declaredCtx) error) error
+	// apply installs a committed transaction's inserts and deletes.
+	apply(muts []mutation, owner func(memstore.TableID, uint64) rdma.NodeID)
+	totals() workerTotals
+}
+
+// declaredCtx is the record access drtm.Ctx and calvin.Ctx both offer.
+type declaredCtx interface {
+	Get(table memstore.TableID, key uint64) ([]byte, error)
+	Put(table memstore.TableID, key uint64, value []byte) error
+}
+
+// ref declares one record; it converts to drtm.Ref and calvin.Ref.
+type ref struct {
+	Table memstore.TableID
+	Key   uint64
+	Write bool
+}
+
+type recKey struct {
+	table memstore.TableID
+	key   uint64
+}
+
+// mutation is an insert (or, with del, a delete) applied after commit.
+type mutation struct {
+	del   bool
+	table memstore.TableID
+	key   uint64
+	value []byte
+}
+
+// errStale reports a real-run access outside the declared footprint.
+var errStale = errors.New("harness: access outside the declared footprint")
+
+// Run implements tpcc.System. DrTM and Calvin have no read-only mode.
+func (w *DeclaredWorker) Run(_ bool, body func(tpcc.Tx) error) error {
+	for {
+		fp := &footprint{at: make(map[recKey]int)}
+		// The pre-pass only collects the footprint; the real run decides
+		// the outcome.
+		_ = body(w.newTx(fp, nil))
+		var tx *declaredTx
+		err := w.eng.run(fp.refs, func(c declaredCtx) error {
+			// DrTM re-runs the body inside its big-HTM retry loop: each run
+			// starts with empty buffers.
+			tx = w.newTx(fp, c)
+			if err := body(tx); err != nil {
+				return err
+			}
+			return tx.flush()
+		})
+		switch {
+		case err == nil:
+			w.eng.apply(tx.muts, w.owner)
+			return nil
+		case errors.Is(err, errStale), errors.Is(err, drtm.ErrMissing), errors.Is(err, calvin.ErrMissing):
+			w.stale++
+		default:
+			return err
+		}
+	}
+}
+
+// Store implements tpcc.System.
+func (w *DeclaredWorker) Store() *memstore.Store { return w.c.Machines[w.node].Store }
+
+func (w *DeclaredWorker) owner(table memstore.TableID, key uint64) rdma.NodeID {
+	return w.c.Coord.Current().PrimaryOf(w.part(table, key))
+}
+
+func (w *DeclaredWorker) runOne() (tpcc.TxType, error) { return w.ex.RunOne() }
+
+func (w *DeclaredWorker) totals() workerTotals {
+	t := w.eng.totals()
+	t.aborts += w.stale
+	return t
+}
+
+func (w *DeclaredWorker) newTx(fp *footprint, ctx declaredCtx) *declaredTx {
+	return &declaredTx{w: w, fp: fp, ctx: ctx, writes: make(map[recKey][]byte)}
+}
+
+// footprint is the declared read/write set: each record the pre-pass
+// touched, once.
+type footprint struct {
+	refs []ref
+	at   map[recKey]int // index into refs; -1 for a record found absent
+}
+
+func (f *footprint) declare(k recKey, write bool) {
+	if i, ok := f.at[k]; ok && i >= 0 {
+		f.refs[i].Write = f.refs[i].Write || write
+		return
+	}
+	f.at[k] = len(f.refs)
+	f.refs = append(f.refs, ref{Table: k.table, Key: k.key, Write: write})
+}
+
+// declaredTx is the tpcc.Tx of both passes. The pre-pass (ctx nil) reads
+// committed rows from their owners and declares what it touches; the real
+// run reads through ctx and rejects undeclared accesses. Both buffer their
+// writes; the real run Puts each written record once, when the body
+// returns, because DrTM's Put aborts its own HTM region when the record was
+// already written in it.
+type declaredTx struct {
+	w      *DeclaredWorker
+	fp     *footprint
+	ctx    declaredCtx
+	writes map[recKey][]byte
+	order  []recKey // written records, first write first
+	muts   []mutation
+}
+
+func (t *declaredTx) Read(table memstore.TableID, key uint64) ([]byte, error) {
+	k := recKey{table, key}
+	if v, ok := t.writes[k]; ok {
+		return append([]byte(nil), v...), nil
+	}
+	i, seen := t.fp.at[k]
+	switch {
+	case seen && i < 0:
+		return nil, txn.ErrNotFound
+	case t.ctx != nil && !seen:
+		return nil, errStale
+	case t.ctx != nil:
+		return t.ctx.Get(table, key)
+	}
+	tbl := t.w.c.Machines[t.w.owner(table, key)].Store.Table(table)
+	off, ok := tbl.Lookup(key)
+	if !ok {
+		if !seen {
+			t.fp.at[k] = -1
+		}
+		return nil, txn.ErrNotFound
+	}
+	t.fp.declare(k, false)
+	return tbl.ReadValueNonTx(off), nil
+}
+
+func (t *declaredTx) ReadStable(table memstore.TableID, key uint64) ([]byte, error) {
+	return t.Read(table, key)
+}
+
+func (t *declaredTx) Write(table memstore.TableID, key uint64, value []byte) error {
+	k := recKey{table, key}
+	if t.ctx == nil {
+		t.fp.declare(k, true)
+	} else if i, ok := t.fp.at[k]; !ok || i < 0 || !t.fp.refs[i].Write {
+		return errStale
+	}
+	if _, ok := t.writes[k]; !ok {
+		t.order = append(t.order, k)
+	}
+	t.writes[k] = append([]byte(nil), value...)
+	return nil
+}
+
+func (t *declaredTx) Add(table memstore.TableID, key uint64, fieldOff int, delta uint64) error {
+	v, err := t.Read(table, key)
+	if err != nil {
+		return err
+	}
+	v = append([]byte(nil), v...)
+	addField(v, fieldOff, delta)
+	return t.Write(table, key, v)
+}
+
+func (t *declaredTx) Insert(table memstore.TableID, key uint64, value []byte) error {
+	t.muts = append(t.muts, mutation{table: table, key: key, value: append([]byte(nil), value...)})
+	return nil
+}
+
+func (t *declaredTx) Delete(table memstore.TableID, key uint64) error {
+	t.muts = append(t.muts, mutation{del: true, table: table, key: key})
+	return nil
+}
+
+// flush Puts the real run's buffered writes.
+func (t *declaredTx) flush() error {
+	for _, k := range t.order {
+		if err := t.ctx.Put(k.table, k.key, t.writes[k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addField adds delta to the little-endian u64 at off, as txn.Txn.Add does
+// at commit.
+func addField(v []byte, off int, delta uint64) {
+	binary.LittleEndian.PutUint64(v[off:], binary.LittleEndian.Uint64(v[off:])+delta)
+}
+
+// applyTo installs m in st. The error is dropped by every caller: the
+// baselines apply index mutations after the transaction commits, so a
+// racing Delivery may already have removed the row, and there is nothing
+// left to undo.
+func (m mutation) applyTo(st *memstore.Store) error {
+	if m.del {
+		return st.Table(m.table).Delete(m.key)
+	}
+	_, err := st.Table(m.table).Insert(m.key, m.value)
+	return err
+}
 
 // directMutate applies an insert/delete straight to the owning machine's
 // store, charging the worker clock the way the baseline's messaging would
@@ -34,724 +368,179 @@ func directMutate(c *cluster.Cluster, clk *sim.Clock, self rdma.NodeID, node rdm
 	return fn(c.Machines[node].Store)
 }
 
-// tpccRecon provides the reconnaissance reads that a-priori-set systems need
-// for TPC-C's dependent transactions (Calvin's OLLP, DrTM's chopping).
-type tpccRecon struct {
-	c    *cluster.Cluster
-	wcfg tpcc.Config
+type drtmEngine struct {
+	w *drtm.Worker
+	c *cluster.Cluster
 }
 
-// lastOrder reads the customer's last order id and line count directly.
-func (r tpccRecon) lastOrder(node rdma.NodeID, w, d, cu int) (oid, cnt uint64, ok bool) {
-	st := r.c.Machines[node].Store
-	off, found := st.Table(tpcc.TableCustLastOrder).Lookup(tpcc.CKey(w, d, cu))
-	if !found {
-		return 0, 0, false
+func (e drtmEngine) run(refs []ref, body func(declaredCtx) error) error {
+	rs := make([]drtm.Ref, len(refs))
+	for i, r := range refs {
+		rs[i] = drtm.Ref(r)
 	}
-	row := st.Table(tpcc.TableCustLastOrder).ReadValueNonTx(off)
-	oid = leU64(row)
-	if oid == 0 {
-		return 0, 0, false
-	}
-	ooff, found := st.Table(tpcc.TableOrder).Lookup(tpcc.OKey(w, d, int(oid)))
-	if !found {
-		return 0, 0, false
-	}
-	return oid, tpcc.OrderOLCnt(st.Table(tpcc.TableOrder).ReadValueNonTx(ooff)), true
+	return e.w.Run(rs, func(c *drtm.Ctx) error { return body(c) })
 }
 
-// oldestNewOrder probes the district's oldest undelivered order.
-func (r tpccRecon) oldestNewOrder(node rdma.NodeID, w, d int) (key uint64, cid, cnt uint64, ok bool) {
-	st := r.c.Machines[node].Store
-	lo, hi := tpcc.OKey(w, d, 0), tpcc.OKey(w, d, 1<<24-1)
-	key, _, found := st.Table(tpcc.TableNewOrder).Ordered().MinGE(lo)
-	if !found || key > hi {
-		return 0, 0, 0, false
-	}
-	ooff, found := st.Table(tpcc.TableOrder).Lookup(key)
-	if !found {
-		return 0, 0, 0, false
-	}
-	row := st.Table(tpcc.TableOrder).ReadValueNonTx(ooff)
-	return key, tpcc.OrderCustomer(row), tpcc.OrderOLCnt(row), true
-}
-
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-// ---------------------------------------------------------------- DrTM ----
-
-func runDrTMBaseline(o Options) Result {
-	if o.Workload != WLTPCC {
-		panic("harness: DrTM baseline implements TPC-C only")
-	}
-	c, wcfgAny := buildCluster(o, 1)
-	defer c.Stop()
-	wcfg := wcfgAny.(tpcc.Config)
-	var engines []*drtm.Engine
-	for _, m := range c.Machines {
-		engines = append(engines, drtm.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))
-	}
-	c.Start()
-	recon := tpccRecon{c: c, wcfg: wcfg}
-
-	var (
-		wg                   sync.WaitGroup
-		mu                   sync.Mutex
-		committed, newOrders uint64
-		aborts, fallbacks    uint64
-		maxVirtual           int64
-	)
-	for n := 0; n < o.Nodes; n++ {
-		for t := 0; t < o.ThreadsPerNode; t++ {
-			wg.Add(1)
-			go func(node, tid int) {
-				defer wg.Done()
-				w := engines[node].NewWorker(tid)
-				whs := wcfg.WarehousesOf(node)
-				home := whs[tid%len(whs)]
-				g := tpcc.NewGen(wcfg, home, o.Seed+uint64(node*100+tid)+7)
-				ex := drtmExec{w: w, c: c, node: rdma.NodeID(node), wcfg: wcfg, recon: recon}
-				var localNO uint64
-				for i := 0; i < o.TxPerWorker; i++ {
-					switch g.NextType() {
-					case tpcc.TxNewOrder:
-						if ex.newOrder(g.GenNewOrder()) == nil {
-							localNO++
-						}
-					case tpcc.TxPayment:
-						_ = ex.payment(g, g.GenPayment())
-					case tpcc.TxOrderStatus:
-						_ = ex.orderStatus(g, home)
-					case tpcc.TxDelivery:
-						_ = ex.delivery(home)
-					case tpcc.TxStockLevel:
-						_ = ex.stockLevel(g, home)
-					}
+// apply ships each machine's mutations to it in one message.
+func (e drtmEngine) apply(muts []mutation, owner func(memstore.TableID, uint64) rdma.NodeID) {
+	for len(muts) > 0 {
+		node := owner(muts[0].table, muts[0].key)
+		var rest []mutation
+		_ = directMutate(e.c, &e.w.Clk, e.w.E.M.ID, node, e.w.E.Cost, func(st *memstore.Store) error {
+			for _, m := range muts {
+				if owner(m.table, m.key) != node {
+					rest = append(rest, m)
+					continue
 				}
-				mu.Lock()
-				committed += w.Stats.Committed
-				newOrders += localNO
-				aborts += w.Stats.Aborts
-				fallbacks += w.Stats.Fallbacks
-				if v := w.Clk.Now(); v > maxVirtual {
-					maxVirtual = v
-				}
-				mu.Unlock()
-			}(n, t)
-		}
-	}
-	wg.Wait()
-	return summarize(o, committed, newOrders, aborts, fallbacks, maxVirtual)
-}
-
-type drtmExec struct {
-	w     *drtm.Worker
-	c     *cluster.Cluster
-	node  rdma.NodeID
-	wcfg  tpcc.Config
-	recon tpccRecon
-}
-
-func (e *drtmExec) newOrder(p tpcc.NewOrderParams) error {
-	refs := []drtm.Ref{
-		{Table: tpcc.TableWarehouse, Key: tpcc.WKey(p.W)},
-		{Table: tpcc.TableDistrict, Key: tpcc.DKey(p.W, p.D), Write: true},
-		{Table: tpcc.TableCustomer, Key: tpcc.CKey(p.W, p.D, p.C)},
-		{Table: tpcc.TableCustLastOrder, Key: tpcc.CKey(p.W, p.D, p.C), Write: true},
-	}
-	for _, it := range p.Items {
-		refs = append(refs,
-			drtm.Ref{Table: tpcc.TableItem, Key: tpcc.IKey(it.Item)},
-			drtm.Ref{Table: tpcc.TableStock, Key: tpcc.SKey(it.SupplyW, it.Item), Write: true})
-	}
-	var oid uint64
-	amounts := make([]uint64, len(p.Items))
-	err := e.w.Run(refs, func(c *drtm.Ctx) error {
-		drow, err := c.Get(tpcc.TableDistrict, tpcc.DKey(p.W, p.D))
-		if err != nil {
-			return err
-		}
-		oid = tpcc.DistrictNextOID(drow)
-		d2 := append([]byte(nil), drow...)
-		tpcc.SetDistrictNextOID(d2, oid+1)
-		if err := c.Put(tpcc.TableDistrict, tpcc.DKey(p.W, p.D), d2); err != nil {
-			return err
-		}
-		if _, err := c.Get(tpcc.TableCustomer, tpcc.CKey(p.W, p.D, p.C)); err != nil {
-			return err
-		}
-		for i, it := range p.Items {
-			irow, err := c.Get(tpcc.TableItem, tpcc.IKey(it.Item))
-			if err != nil {
-				return err
+				_ = m.applyTo(st)
 			}
-			srow, err := c.Get(tpcc.TableStock, tpcc.SKey(it.SupplyW, it.Item))
-			if err != nil {
-				return err
-			}
-			s2 := append([]byte(nil), srow...)
-			tpcc.ApplyStockOrder(s2, uint64(it.Qty), it.SupplyW != p.W)
-			if err := c.Put(tpcc.TableStock, tpcc.SKey(it.SupplyW, it.Item), s2); err != nil {
-				return err
-			}
-			amounts[i] = tpcc.ItemPrice(irow) * uint64(it.Qty)
-		}
-		lo := make([]byte, 8)
-		putLE(lo, oid)
-		return c.Put(tpcc.TableCustLastOrder, tpcc.CKey(p.W, p.D, p.C), lo)
-	})
-	if err != nil {
-		return err
-	}
-	// Index inserts, shipped to the (local) host like DrTM does.
-	okey := tpcc.OKey(p.W, p.D, int(oid))
-	_ = directMutate(e.c, &e.w.Clk, e.node, e.node, txn.DefaultCosts(), func(st *memstore.Store) error {
-		_, err := st.Table(tpcc.TableOrder).Insert(okey, tpcc.OrderRow(uint64(p.C), 1, 0, uint64(len(p.Items))))
-		if err != nil {
-			return err
-		}
-		no := make([]byte, 8)
-		putLE(no, oid)
-		if _, err := st.Table(tpcc.TableNewOrder).Insert(okey, no); err != nil {
-			return err
-		}
-		for l, it := range p.Items {
-			row := tpcc.OrderLineRow(uint64(it.Item), uint64(it.SupplyW), uint64(it.Qty), amounts[l])
-			if _, err := st.Table(tpcc.TableOrderLine).Insert(tpcc.OLKey(p.W, p.D, int(oid), l+1), row); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return nil
-}
-
-func putLE(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+			return nil
+		})
+		muts = rest
 	}
 }
 
-func (e *drtmExec) payment(g *tpcc.Gen, p tpcc.PaymentParams) error {
-	refs := []drtm.Ref{
-		{Table: tpcc.TableWarehouse, Key: tpcc.WKey(p.W), Write: true},
-		{Table: tpcc.TableDistrict, Key: tpcc.DKey(p.W, p.D), Write: true},
-		{Table: tpcc.TableCustomer, Key: tpcc.CKey(p.CW, p.CD, p.C), Write: true},
-	}
-	return e.w.Run(refs, func(c *drtm.Ctx) error {
-		wrow, err := c.Get(tpcc.TableWarehouse, tpcc.WKey(p.W))
-		if err != nil {
-			return err
-		}
-		w2 := append([]byte(nil), wrow...)
-		tpcc.SetWarehouseYTD(w2, tpcc.WarehouseYTD(w2)+p.Amount)
-		if err := c.Put(tpcc.TableWarehouse, tpcc.WKey(p.W), w2); err != nil {
-			return err
-		}
-		drow, err := c.Get(tpcc.TableDistrict, tpcc.DKey(p.W, p.D))
-		if err != nil {
-			return err
-		}
-		d2 := append([]byte(nil), drow...)
-		tpcc.SetDistrictYTD(d2, tpcc.DistrictYTD(d2)+p.Amount)
-		if err := c.Put(tpcc.TableDistrict, tpcc.DKey(p.W, p.D), d2); err != nil {
-			return err
-		}
-		crow, err := c.Get(tpcc.TableCustomer, tpcc.CKey(p.CW, p.CD, p.C))
-		if err != nil {
-			return err
-		}
-		c2 := append([]byte(nil), crow...)
-		tpcc.CustomerAddPayment(c2, p.Amount)
-		return c.Put(tpcc.TableCustomer, tpcc.CKey(p.CW, p.CD, p.C), c2)
-	})
+func (e drtmEngine) totals() workerTotals {
+	return workerTotals{e.w.Stats.Committed, e.w.Stats.Aborts, e.w.Stats.Fallbacks, e.w.Clk.Now()}
 }
 
-func (e *drtmExec) orderStatus(g *tpcc.Gen, home int) error {
-	d, cu := 1+int(e.w.Clk.Now()%10), 1+int(e.w.Clk.Now()%tpcc.CustomersPerDistrict)
-	oid, cnt, ok := e.recon.lastOrder(e.node, home, d, cu)
-	refs := []drtm.Ref{{Table: tpcc.TableCustomer, Key: tpcc.CKey(home, d, cu)}}
-	if ok {
-		refs = append(refs, drtm.Ref{Table: tpcc.TableOrder, Key: tpcc.OKey(home, d, int(oid))})
-		for l := 1; l <= int(cnt); l++ {
-			refs = append(refs, drtm.Ref{Table: tpcc.TableOrderLine, Key: tpcc.OLKey(home, d, int(oid), l)})
-		}
-	}
-	return e.w.Run(refs, func(c *drtm.Ctx) error {
-		_, err := c.Get(tpcc.TableCustomer, tpcc.CKey(home, d, cu))
-		return err
-	})
+type calvinEngine struct {
+	w *calvin.Worker
+	c *cluster.Cluster
 }
 
-func (e *drtmExec) delivery(home int) error {
-	for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
-		key, cid, cnt, ok := e.recon.oldestNewOrder(e.node, home, d)
-		if !ok {
+func (e calvinEngine) run(refs []ref, body func(declaredCtx) error) error {
+	rs := make([]calvin.Ref, len(refs))
+	for i, r := range refs {
+		rs[i] = calvin.Ref(r)
+	}
+	return e.w.Run(rs, func(c *calvin.Ctx) error { return body(c) })
+}
+
+// apply schedules each insert through Calvin's sequencer and ships each
+// delete to its owner.
+func (e calvinEngine) apply(muts []mutation, owner func(memstore.TableID, uint64) rdma.NodeID) {
+	for _, m := range muts {
+		if !m.del {
+			_ = e.w.Insert(m.table, m.key, m.value)
 			continue
 		}
-		refs := []drtm.Ref{
-			{Table: tpcc.TableOrder, Key: key, Write: true},
-			{Table: tpcc.TableCustomer, Key: tpcc.CKey(home, d, int(cid)), Write: true},
-		}
-		oid := int(key & 0xFFFFFF)
-		for l := 1; l <= int(cnt); l++ {
-			refs = append(refs, drtm.Ref{Table: tpcc.TableOrderLine, Key: tpcc.OLKey(home, d, oid, l), Write: true})
-		}
-		err := e.w.Run(refs, func(c *drtm.Ctx) error {
-			orow, err := c.Get(tpcc.TableOrder, key)
-			if err != nil {
-				return err
-			}
-			o2 := append([]byte(nil), orow...)
-			tpcc.SetOrderCarrier(o2, 5)
-			if err := c.Put(tpcc.TableOrder, key, o2); err != nil {
-				return err
-			}
-			var total uint64
-			for l := 1; l <= int(cnt); l++ {
-				ol, err := c.Get(tpcc.TableOrderLine, tpcc.OLKey(home, d, oid, l))
-				if err != nil {
-					return err
-				}
-				total += tpcc.OrderLineAmount(ol)
-				ol2 := append([]byte(nil), ol...)
-				tpcc.SetOrderLineDelivery(ol2, 1)
-				if err := c.Put(tpcc.TableOrderLine, tpcc.OLKey(home, d, oid, l), ol2); err != nil {
-					return err
-				}
-			}
-			crow, err := c.Get(tpcc.TableCustomer, tpcc.CKey(home, d, int(cid)))
-			if err != nil {
-				return err
-			}
-			c2 := append([]byte(nil), crow...)
-			tpcc.CustomerAddDelivery(c2, total)
-			return c.Put(tpcc.TableCustomer, tpcc.CKey(home, d, int(cid)), c2)
-		})
-		if err != nil {
-			continue
-		}
-		_ = directMutate(e.c, &e.w.Clk, e.node, e.node, txn.DefaultCosts(), func(st *memstore.Store) error {
-			return st.Table(tpcc.TableNewOrder).Delete(key)
-		})
+		_ = directMutate(e.c, &e.w.Clk, e.w.Node, owner(m.table, m.key), txn.DefaultCosts(), m.applyTo)
 	}
-	return nil
 }
 
-func (e *drtmExec) stockLevel(g *tpcc.Gen, home int) error {
-	d := 1 + int(e.w.Clk.Now()%10)
-	st := e.c.Machines[e.node].Store
-	off, ok := st.Table(tpcc.TableDistrict).Lookup(tpcc.DKey(home, d))
-	if !ok {
-		return nil
-	}
-	next := int(tpcc.DistrictNextOID(st.Table(tpcc.TableDistrict).ReadValueNonTx(off)))
-	loO := next - 20
-	if loO < 1 {
-		loO = 1
-	}
-	var refs []drtm.Ref
-	st.Table(tpcc.TableOrderLine).Ordered().Scan(
-		tpcc.OLKey(home, d, loO, 0), tpcc.OLKey(home, d, next, 15),
-		func(key, _ uint64) bool {
-			refs = append(refs, drtm.Ref{Table: tpcc.TableOrderLine, Key: key})
-			return len(refs) < 100
-		})
-	refs = append(refs, drtm.Ref{Table: tpcc.TableDistrict, Key: tpcc.DKey(home, d)})
-	return e.w.Run(refs, func(c *drtm.Ctx) error {
-		_, err := c.Get(tpcc.TableDistrict, tpcc.DKey(home, d))
-		return err
-	})
-}
-
-// -------------------------------------------------------------- Calvin ----
-
-func runCalvinBaseline(o Options) Result {
-	if o.Workload != WLTPCC {
-		panic("harness: Calvin baseline implements TPC-C only")
-	}
-	c, wcfgAny := buildCluster(o, 1)
-	defer c.Stop()
-	wcfg := wcfgAny.(tpcc.Config)
-	// Calvin's partitioner cannot be machine-relative (one global plan),
-	// so ITEM is assigned to shard 0 and every access to it is routed
-	// there — the penalty a shared-nothing deterministic system pays
-	// without replicated read-only tables... except real Calvin also
-	// replicates items; route items to the caller-agnostic owner of
-	// warehouse 1 but charge no message (modelled as local).
-	part := wcfg.Partitioner(0)
-	sys := calvin.New(c, part, txn.DefaultCosts())
-	c.Start()
-	recon := tpccRecon{c: c, wcfg: wcfg}
-
-	var (
-		wg                   sync.WaitGroup
-		mu                   sync.Mutex
-		committed, newOrders uint64
-		maxVirtual           int64
-	)
-	for n := 0; n < o.Nodes; n++ {
-		for t := 0; t < o.ThreadsPerNode; t++ {
-			wg.Add(1)
-			go func(node, tid int) {
-				defer wg.Done()
-				w := sys.NewWorker(rdma.NodeID(node), tid)
-				whs := wcfg.WarehousesOf(node)
-				home := whs[tid%len(whs)]
-				g := tpcc.NewGen(wcfg, home, o.Seed+uint64(node*100+tid)+13)
-				ex := calvinExec{w: w, c: c, node: rdma.NodeID(node), recon: recon}
-				var localNO uint64
-				for i := 0; i < o.TxPerWorker; i++ {
-					switch g.NextType() {
-					case tpcc.TxNewOrder:
-						if ex.newOrder(g.GenNewOrder()) == nil {
-							localNO++
-						}
-					case tpcc.TxPayment:
-						_ = ex.payment(g.GenPayment())
-					case tpcc.TxOrderStatus:
-						_ = ex.orderStatus(home, 1+i%10, 1+i%tpcc.CustomersPerDistrict)
-					case tpcc.TxDelivery:
-						_ = ex.delivery(home)
-					case tpcc.TxStockLevel:
-						_ = ex.stockLevel(home, 1+i%10)
-					}
-				}
-				mu.Lock()
-				committed += w.Stats.Committed
-				newOrders += localNO
-				if v := w.Clk.Now(); v > maxVirtual {
-					maxVirtual = v
-				}
-				mu.Unlock()
-			}(n, t)
-		}
-	}
-	wg.Wait()
-	return summarize(o, committed, newOrders, 0, 0, maxVirtual)
-}
-
-type calvinExec struct {
-	w     *calvin.Worker
-	c     *cluster.Cluster
-	node  rdma.NodeID
-	recon tpccRecon
-}
-
-func (e *calvinExec) newOrder(p tpcc.NewOrderParams) error {
-	refs := []calvin.Ref{
-		{Table: tpcc.TableWarehouse, Key: tpcc.WKey(p.W)},
-		{Table: tpcc.TableDistrict, Key: tpcc.DKey(p.W, p.D), Write: true},
-		{Table: tpcc.TableCustomer, Key: tpcc.CKey(p.W, p.D, p.C)},
-		{Table: tpcc.TableCustLastOrder, Key: tpcc.CKey(p.W, p.D, p.C), Write: true},
-	}
-	for _, it := range p.Items {
-		refs = append(refs,
-			calvin.Ref{Table: tpcc.TableItem, Key: tpcc.IKey(it.Item)},
-			calvin.Ref{Table: tpcc.TableStock, Key: tpcc.SKey(it.SupplyW, it.Item), Write: true})
-	}
-	var oid uint64
-	err := e.w.Run(refs, func(c *calvin.Ctx) error {
-		drow, err := c.Get(tpcc.TableDistrict, tpcc.DKey(p.W, p.D))
-		if err != nil {
-			return err
-		}
-		oid = tpcc.DistrictNextOID(drow)
-		d2 := append([]byte(nil), drow...)
-		tpcc.SetDistrictNextOID(d2, oid+1)
-		if err := c.Put(tpcc.TableDistrict, tpcc.DKey(p.W, p.D), d2); err != nil {
-			return err
-		}
-		for _, it := range p.Items {
-			srow, err := c.Get(tpcc.TableStock, tpcc.SKey(it.SupplyW, it.Item))
-			if err != nil {
-				return err
-			}
-			s2 := append([]byte(nil), srow...)
-			tpcc.ApplyStockOrder(s2, uint64(it.Qty), it.SupplyW != p.W)
-			if err := c.Put(tpcc.TableStock, tpcc.SKey(it.SupplyW, it.Item), s2); err != nil {
-				return err
-			}
-		}
-		lo := make([]byte, 8)
-		putLE(lo, oid)
-		return c.Put(tpcc.TableCustLastOrder, tpcc.CKey(p.W, p.D, p.C), lo)
-	})
-	if err != nil {
-		return err
-	}
-	okey := tpcc.OKey(p.W, p.D, int(oid))
-	_ = e.w.Insert(tpcc.TableOrder, okey, tpcc.OrderRow(uint64(p.C), 1, 0, uint64(len(p.Items))))
-	no := make([]byte, 8)
-	putLE(no, oid)
-	_ = e.w.Insert(tpcc.TableNewOrder, okey, no)
-	for l, it := range p.Items {
-		_ = e.w.Insert(tpcc.TableOrderLine, tpcc.OLKey(p.W, p.D, int(oid), l+1),
-			tpcc.OrderLineRow(uint64(it.Item), uint64(it.SupplyW), uint64(it.Qty), uint64(it.Qty)*100))
-	}
-	return nil
-}
-
-func (e *calvinExec) payment(p tpcc.PaymentParams) error {
-	refs := []calvin.Ref{
-		{Table: tpcc.TableWarehouse, Key: tpcc.WKey(p.W), Write: true},
-		{Table: tpcc.TableDistrict, Key: tpcc.DKey(p.W, p.D), Write: true},
-		{Table: tpcc.TableCustomer, Key: tpcc.CKey(p.CW, p.CD, p.C), Write: true},
-	}
-	return e.w.Run(refs, func(c *calvin.Ctx) error {
-		wrow, _ := c.Get(tpcc.TableWarehouse, tpcc.WKey(p.W))
-		w2 := append([]byte(nil), wrow...)
-		tpcc.SetWarehouseYTD(w2, tpcc.WarehouseYTD(w2)+p.Amount)
-		if err := c.Put(tpcc.TableWarehouse, tpcc.WKey(p.W), w2); err != nil {
-			return err
-		}
-		drow, _ := c.Get(tpcc.TableDistrict, tpcc.DKey(p.W, p.D))
-		d2 := append([]byte(nil), drow...)
-		tpcc.SetDistrictYTD(d2, tpcc.DistrictYTD(d2)+p.Amount)
-		if err := c.Put(tpcc.TableDistrict, tpcc.DKey(p.W, p.D), d2); err != nil {
-			return err
-		}
-		crow, _ := c.Get(tpcc.TableCustomer, tpcc.CKey(p.CW, p.CD, p.C))
-		c2 := append([]byte(nil), crow...)
-		tpcc.CustomerAddPayment(c2, p.Amount)
-		return c.Put(tpcc.TableCustomer, tpcc.CKey(p.CW, p.CD, p.C), c2)
-	})
-}
-
-func (e *calvinExec) orderStatus(home, d, cu int) error {
-	oid, cnt, ok := e.recon.lastOrder(e.node, home, d, cu)
-	refs := []calvin.Ref{{Table: tpcc.TableCustomer, Key: tpcc.CKey(home, d, cu)}}
-	if ok {
-		refs = append(refs, calvin.Ref{Table: tpcc.TableOrder, Key: tpcc.OKey(home, d, int(oid))})
-		for l := 1; l <= int(cnt); l++ {
-			refs = append(refs, calvin.Ref{Table: tpcc.TableOrderLine, Key: tpcc.OLKey(home, d, int(oid), l)})
-		}
-	}
-	return e.w.Run(refs, func(c *calvin.Ctx) error { return nil })
-}
-
-func (e *calvinExec) delivery(home int) error {
-	for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
-		key, cid, cnt, ok := e.recon.oldestNewOrder(e.node, home, d)
-		if !ok {
-			continue
-		}
-		oid := int(key & 0xFFFFFF)
-		refs := []calvin.Ref{
-			{Table: tpcc.TableOrder, Key: key, Write: true},
-			{Table: tpcc.TableCustomer, Key: tpcc.CKey(home, d, int(cid)), Write: true},
-		}
-		for l := 1; l <= int(cnt); l++ {
-			refs = append(refs, calvin.Ref{Table: tpcc.TableOrderLine, Key: tpcc.OLKey(home, d, oid, l), Write: true})
-		}
-		err := e.w.Run(refs, func(c *calvin.Ctx) error {
-			orow, err := c.Get(tpcc.TableOrder, key)
-			if err != nil {
-				return err
-			}
-			o2 := append([]byte(nil), orow...)
-			tpcc.SetOrderCarrier(o2, 3)
-			return c.Put(tpcc.TableOrder, key, o2)
-		})
-		if err == nil {
-			_ = directMutate(e.c, &e.w.Clk, e.node, e.node, txn.DefaultCosts(), func(st *memstore.Store) error {
-				return st.Table(tpcc.TableNewOrder).Delete(key)
-			})
-		}
-	}
-	return nil
-}
-
-func (e *calvinExec) stockLevel(home, d int) error {
-	st := e.c.Machines[e.node].Store
-	off, ok := st.Table(tpcc.TableDistrict).Lookup(tpcc.DKey(home, d))
-	if !ok {
-		return nil
-	}
-	next := int(tpcc.DistrictNextOID(st.Table(tpcc.TableDistrict).ReadValueNonTx(off)))
-	loO := next - 20
-	if loO < 1 {
-		loO = 1
-	}
-	refs := []calvin.Ref{{Table: tpcc.TableDistrict, Key: tpcc.DKey(home, d)}}
-	st.Table(tpcc.TableOrderLine).Ordered().Scan(
-		tpcc.OLKey(home, d, loO, 0), tpcc.OLKey(home, d, next, 15),
-		func(key, _ uint64) bool {
-			refs = append(refs, calvin.Ref{Table: tpcc.TableOrderLine, Key: key})
-			return len(refs) < 100
-		})
-	return e.w.Run(refs, func(c *calvin.Ctx) error { return nil })
+func (e calvinEngine) totals() workerTotals {
+	return workerTotals{committed: e.w.Stats.Committed, virtual: e.w.Clk.Now()}
 }
 
 // ---------------------------------------------------------------- Silo ----
 
-func runSiloBaseline(o Options) Result {
-	if o.Workload != WLTPCC {
-		panic("harness: Silo baseline implements TPC-C only")
+// runSilo measures Silo: one machine, one database holding the rows
+// DrTM+R's machine 0 holds.
+func runSilo(o Options) Result {
+	o.Nodes = 1
+	wcfg := tpccConfig(o)
+	var tables []uint8
+	for t := tpcc.TableWarehouse; t <= tpcc.TableCustLastOrder; t++ {
+		tables = append(tables, uint8(t))
 	}
-	// Single machine: nodes=1 regardless of o.Nodes; warehouses = threads.
-	wcfg := tpcc.Config{Nodes: 1, WarehousesPerNode: o.WarehousesPerNode,
-		RemoteNewOrderProb: 0, RemotePaymentProb: 0}
-	db := silo.NewDB([]uint8{
-		uint8(tpcc.TableWarehouse), uint8(tpcc.TableDistrict), uint8(tpcc.TableCustomer),
-		uint8(tpcc.TableHistory), uint8(tpcc.TableNewOrder), uint8(tpcc.TableOrder),
-		uint8(tpcc.TableOrderLine), uint8(tpcc.TableItem), uint8(tpcc.TableStock),
-		uint8(tpcc.TableCustLastOrder),
-	}, txn.DefaultCosts())
+	db := silo.NewDB(tables, txn.DefaultCosts())
 	defer db.Close()
-	siloLoad(db, wcfg, o.Seed)
-
-	var (
-		wg                   sync.WaitGroup
-		mu                   sync.Mutex
-		committed, newOrders uint64
-		aborts               uint64
-		maxVirtual           int64
-	)
-	for t := 0; t < o.ThreadsPerNode; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			w := db.NewWorker(tid)
-			whs := wcfg.WarehousesOf(0)
-			home := whs[tid%len(whs)]
-			g := tpcc.NewGen(wcfg, home, o.Seed+uint64(tid)+29)
-			var localNO uint64
-			for i := 0; i < o.TxPerWorker; i++ {
-				switch g.NextType() {
-				case tpcc.TxNewOrder:
-					if siloNewOrder(w, g.GenNewOrder()) == nil {
-						localNO++
-					}
-				case tpcc.TxPayment:
-					_ = siloPayment(w, g.GenPayment())
-				default:
-					// Order-status / delivery / stock-level reduce to
-					// read-mostly single-warehouse transactions; model
-					// them with a customer+district read txn so the mix
-					// stays 45/43/12.
-					_ = w.Run(func(tx *silo.Txn) error {
-						_, err := tx.Read(uint8(tpcc.TableCustomer), tpcc.CKey(home, 1+i%10, 1+i%tpcc.CustomersPerDistrict))
-						if errors.Is(err, silo.ErrNotFound) {
-							return nil
-						}
-						return err
-					})
-				}
-			}
-			mu.Lock()
-			committed += w.Stats.Committed
-			newOrders += localNO
-			aborts += w.Stats.Aborts
-			if v := w.Clk.Now(); v > maxVirtual {
-				maxVirtual = v
-			}
-			mu.Unlock()
-		}(t)
+	if err := tpcc.LoadRows(wcfg, 0, o.Seed, func(table memstore.TableID, key uint64, value []byte) error {
+		return db.Insert(uint8(table), key, value)
+	}); err != nil {
+		panic(err)
 	}
-	wg.Wait()
-	return summarize(o, committed, newOrders, aborts, 0, maxVirtual)
-}
-
-func siloLoad(db *silo.DB, wcfg tpcc.Config, seed uint64) {
-	rng := sim.NewRand(seed + 3)
-	for i := 1; i <= tpcc.ItemCount; i++ {
-		_ = db.Insert(uint8(tpcc.TableItem), tpcc.IKey(i), tpcc.ItemRow(uint64(100+rng.Intn(9900))))
-	}
-	for _, w := range wcfg.WarehousesOf(0) {
-		_ = db.Insert(uint8(tpcc.TableWarehouse), tpcc.WKey(w), tpcc.WarehouseRow(10, 0))
-		for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
-			_ = db.Insert(uint8(tpcc.TableDistrict), tpcc.DKey(w, d), tpcc.DistrictRow(10, 0, tpcc.InitialNextOrder))
-			for cu := 1; cu <= tpcc.CustomersPerDistrict; cu++ {
-				_ = db.Insert(uint8(tpcc.TableCustomer), tpcc.CKey(w, d, cu), tpcc.CustomerRow(-10, 100))
-				_ = db.Insert(uint8(tpcc.TableCustLastOrder), tpcc.CKey(w, d, cu), make([]byte, 8))
-			}
-		}
-		for i := 1; i <= tpcc.StockPerWarehouse; i++ {
-			_ = db.Insert(uint8(tpcc.TableStock), tpcc.SKey(w, i), tpcc.StockRow(uint64(10+rng.Intn(91))))
-		}
-	}
-}
-
-func siloNewOrder(w *silo.Worker, p tpcc.NewOrderParams) error {
-	return w.Run(func(tx *silo.Txn) error {
-		if _, err := tx.Read(uint8(tpcc.TableWarehouse), tpcc.WKey(p.W)); err != nil {
-			return err
-		}
-		drow, err := tx.Read(uint8(tpcc.TableDistrict), tpcc.DKey(p.W, p.D))
-		if err != nil {
-			return err
-		}
-		oid := tpcc.DistrictNextOID(drow)
-		d2 := append([]byte(nil), drow...)
-		tpcc.SetDistrictNextOID(d2, oid+1)
-		if err := tx.Write(uint8(tpcc.TableDistrict), tpcc.DKey(p.W, p.D), d2); err != nil {
-			return err
-		}
-		if _, err := tx.Read(uint8(tpcc.TableCustomer), tpcc.CKey(p.W, p.D, p.C)); err != nil {
-			return err
-		}
-		for _, it := range p.Items {
-			if _, err := tx.Read(uint8(tpcc.TableItem), tpcc.IKey(it.Item)); err != nil {
-				return err
-			}
-			srow, err := tx.Read(uint8(tpcc.TableStock), tpcc.SKey(it.SupplyW, it.Item))
-			if err != nil {
-				return err
-			}
-			s2 := append([]byte(nil), srow...)
-			tpcc.ApplyStockOrder(s2, uint64(it.Qty), false)
-			if err := tx.Write(uint8(tpcc.TableStock), tpcc.SKey(it.SupplyW, it.Item), s2); err != nil {
-				return err
-			}
-		}
-		okey := tpcc.OKey(p.W, p.D, int(oid))
-		_ = tx.Insert(uint8(tpcc.TableOrder), okey, tpcc.OrderRow(uint64(p.C), 1, 0, uint64(len(p.Items))))
-		no := make([]byte, 8)
-		putLE(no, oid)
-		_ = tx.Insert(uint8(tpcc.TableNewOrder), okey, no)
-		for l, it := range p.Items {
-			_ = tx.Insert(uint8(tpcc.TableOrderLine), tpcc.OLKey(p.W, p.D, int(oid), l+1),
-				tpcc.OrderLineRow(uint64(it.Item), uint64(it.SupplyW), uint64(it.Qty), uint64(it.Qty)*100))
-		}
-		lo := make([]byte, 8)
-		putLE(lo, oid)
-		return tx.Write(uint8(tpcc.TableCustLastOrder), tpcc.CKey(p.W, p.D, p.C), lo)
+	return driveBaseline(o, wcfg, func(_, tid int, g *tpcc.Gen) baselineWorker {
+		s := &siloWorker{w: db.NewWorker(tid), g: g}
+		s.ex = tpcc.NewExecutorOn(s, g)
+		return s
 	})
 }
 
-func siloPayment(w *silo.Worker, p tpcc.PaymentParams) error {
-	return w.Run(func(tx *silo.Txn) error {
-		wrow, err := tx.Read(uint8(tpcc.TableWarehouse), tpcc.WKey(p.W))
-		if err != nil {
-			return err
-		}
-		w2 := append([]byte(nil), wrow...)
-		tpcc.SetWarehouseYTD(w2, tpcc.WarehouseYTD(w2)+p.Amount)
-		if err := tx.Write(uint8(tpcc.TableWarehouse), tpcc.WKey(p.W), w2); err != nil {
-			return err
-		}
-		drow, err := tx.Read(uint8(tpcc.TableDistrict), tpcc.DKey(p.W, p.D))
-		if err != nil {
-			return err
-		}
-		d2 := append([]byte(nil), drow...)
-		tpcc.SetDistrictYTD(d2, tpcc.DistrictYTD(d2)+p.Amount)
-		if err := tx.Write(uint8(tpcc.TableDistrict), tpcc.DKey(p.W, p.D), d2); err != nil {
-			return err
-		}
-		crow, err := tx.Read(uint8(tpcc.TableCustomer), tpcc.CKey(p.CW, p.CD, p.C))
-		if err != nil {
-			return err
-		}
-		c2 := append([]byte(nil), crow...)
-		tpcc.CustomerAddPayment(c2, p.Amount)
-		return tx.Write(uint8(tpcc.TableCustomer), tpcc.CKey(p.CW, p.CD, p.C), c2)
+// siloWorker runs NewOrder, Payment and OrderStatus through the shared
+// bodies. Silo's tables are unordered maps with no delete, so Delivery's
+// oldest-new-order probe and StockLevel's order-line scan have nothing to
+// run on: a single customer read stands in for each.
+type siloWorker struct {
+	w  *silo.Worker
+	g  *tpcc.Gen
+	ex *tpcc.Executor
+	n  int // transactions begun; spreads the stand-in reads over customers
+}
+
+// Run implements tpcc.System.
+func (s *siloWorker) Run(_ bool, body func(tpcc.Tx) error) error {
+	return s.w.Run(func(tx *silo.Txn) error { return body(siloTx{tx}) })
+}
+
+// Store implements tpcc.System. It is nil: only Delivery and StockLevel
+// probe the store, and Silo runs neither.
+func (s *siloWorker) Store() *memstore.Store { return nil }
+
+func (s *siloWorker) runOne() (tpcc.TxType, error) {
+	i := s.n
+	s.n++
+	t := s.g.NextType()
+	// The stand-ins still draw their transaction's parameters, keeping the
+	// stream aligned with the other systems'.
+	var w int
+	switch t {
+	case tpcc.TxDelivery:
+		w = s.g.GenDelivery().W
+	case tpcc.TxStockLevel:
+		w = s.g.GenStockLevel().W
+	default:
+		return t, s.ex.Run(t)
+	}
+	return t, s.w.Run(func(tx *silo.Txn) error {
+		_, err := tx.Read(uint8(tpcc.TableCustomer), tpcc.CKey(w, 1+i%10, 1+i%tpcc.CustomersPerDistrict))
+		return err
 	})
+}
+
+func (s *siloWorker) totals() workerTotals {
+	return workerTotals{committed: s.w.Stats.Committed, aborts: s.w.Stats.Aborts, virtual: s.w.Clk.Now()}
+}
+
+// siloTx adapts a Silo transaction to tpcc.Tx. Silo has neither untracked
+// reads nor commutative adds: ReadStable is a tracked read and Add a
+// read-modify-write.
+type siloTx struct{ tx *silo.Txn }
+
+func (s siloTx) Read(table memstore.TableID, key uint64) ([]byte, error) {
+	v, err := s.tx.Read(uint8(table), key)
+	if errors.Is(err, silo.ErrNotFound) {
+		return nil, txn.ErrNotFound
+	}
+	return v, err
+}
+
+func (s siloTx) ReadStable(table memstore.TableID, key uint64) ([]byte, error) {
+	return s.Read(table, key)
+}
+
+func (s siloTx) Write(table memstore.TableID, key uint64, value []byte) error {
+	err := s.tx.Write(uint8(table), key, value)
+	if errors.Is(err, silo.ErrNotFound) {
+		return txn.ErrNotFound
+	}
+	return err
+}
+
+func (s siloTx) Add(table memstore.TableID, key uint64, fieldOff int, delta uint64) error {
+	v, err := s.Read(table, key)
+	if err != nil {
+		return err
+	}
+	addField(v, fieldOff, delta)
+	return s.Write(table, key, v)
+}
+
+func (s siloTx) Insert(table memstore.TableID, key uint64, value []byte) error {
+	return s.tx.Insert(uint8(table), key, value)
+}
+
+func (s siloTx) Delete(memstore.TableID, uint64) error {
+	return errors.New("harness: Silo's tables have no delete")
 }

@@ -704,31 +704,9 @@ func RunRecovery(nodes, threads int, runFor time.Duration, lease time.Duration) 
 	if lease <= 0 {
 		lease = 150 * time.Millisecond
 	}
-	spec := cluster.Spec{
-		Nodes:    nodes,
-		Replicas: 3,
-		MemBytes: 64 << 20,
-		Lease:    lease,
-	}
-	c := cluster.New(spec)
-	wcfg := tpcc.Config{
-		Nodes: nodes, WarehousesPerNode: threads,
-		RemoteNewOrderProb: 0.01, RemotePaymentProb: 0.15,
-	}
-	for _, m := range c.Machines {
-		tpcc.CreateTables(m.Store, wcfg)
-	}
-	cfg0 := c.Coord.Current()
-	for n := 0; n < nodes; n++ {
-		if err := tpcc.Load(c.Machines[n].Store, wcfg, n, uint64(n)+3); err != nil {
-			panic(err)
-		}
-		for _, b := range cfg0.BackupsOf(cluster.ShardID(n)) {
-			for _, w := range wcfg.WarehousesOf(n) {
-				_ = tpcc.LoadWarehouse(c.Machines[b].Store, w, simRand(uint64(n)*7+uint64(b)))
-			}
-		}
-	}
+	o := Options{System: SysDrTMR3, Workload: WLTPCC, Nodes: nodes, ThreadsPerNode: threads, Lease: lease, Seed: 3}.Defaults()
+	c, wcfgAny := buildCluster(o, replicasFor(o.System))
+	wcfg := wcfgAny.(tpcc.Config)
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
 		engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))

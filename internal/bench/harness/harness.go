@@ -20,6 +20,7 @@ import (
 	"drtmr/internal/htm"
 	"drtmr/internal/obs"
 	"drtmr/internal/rdma"
+	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
@@ -389,12 +390,8 @@ func Run(o Options) Result {
 	switch o.System {
 	case SysDrTMR, SysDrTMR3:
 		return runDrTMR(o)
-	case SysDrTM:
-		return runDrTMBaseline(o)
-	case SysCalvin:
-		return runCalvinBaseline(o)
-	case SysSilo:
-		return runSiloBaseline(o)
+	case SysDrTM, SysCalvin, SysSilo:
+		return runBaseline(o)
 	default:
 		panic("harness: unknown system")
 	}
@@ -431,12 +428,7 @@ func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
 	cfg0 := c.Coord.Current()
 	switch o.Workload {
 	case WLTPCC:
-		wcfg := tpcc.Config{
-			Nodes:              o.Nodes,
-			WarehousesPerNode:  o.WarehousesPerNode,
-			RemoteNewOrderProb: o.CrossWarehouseNO,
-			RemotePaymentProb:  o.CrossWarehousePay,
-		}
+		wcfg := tpccConfig(o)
 		for _, m := range c.Machines {
 			tpcc.CreateTables(m.Store, wcfg)
 		}
@@ -446,7 +438,7 @@ func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
 			}
 			for _, b := range cfg0.BackupsOf(cluster.ShardID(n)) {
 				for _, w := range wcfg.WarehousesOf(n) {
-					if err := tpcc.LoadWarehouse(c.Machines[b].Store, w, simRand(o.Seed+uint64(n)*31+uint64(b))); err != nil {
+					if err := tpcc.LoadWarehouse(c.Machines[b].Store, w, sim.NewRand(o.Seed+uint64(n)*31+uint64(b))); err != nil {
 						panic(err)
 					}
 				}
@@ -481,6 +473,16 @@ func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
 		return c, wcfg
 	default:
 		panic("harness: unknown workload")
+	}
+}
+
+// tpccConfig is the TPC-C deployment o describes.
+func tpccConfig(o Options) tpcc.Config {
+	return tpcc.Config{
+		Nodes:              o.Nodes,
+		WarehousesPerNode:  o.WarehousesPerNode,
+		RemoteNewOrderProb: o.CrossWarehouseNO,
+		RemotePaymentProb:  o.CrossWarehousePay,
 	}
 }
 

@@ -202,10 +202,10 @@ func getU64(b []byte, off int) uint64    { return binary.LittleEndian.Uint64(b[o
 // needs its value for the order keys, so it stays a read-modify-write and
 // relies on the contention manager's hot-key queue instead.
 const (
-	WarehouseYTDOff   = 8  // warehouse ytd accumulator
-	DistrictYTDOff    = 8  // district ytd accumulator
-	CustomerBalanceOff = 0 // customer balance (signed; subtract via two's complement)
-	CustomerYTDOff     = 8 // customer ytdPayment accumulator
+	WarehouseYTDOff    = 8  // warehouse ytd accumulator
+	DistrictYTDOff     = 8  // district ytd accumulator
+	CustomerBalanceOff = 0  // customer balance (signed; subtract via two's complement)
+	CustomerYTDOff     = 8  // customer ytdPayment accumulator
 	CustomerPayCntOff  = 16 // customer paymentCnt counter
 )
 
@@ -349,47 +349,68 @@ func ApplyStockOrder(b []byte, qty uint64, remote bool) {
 	}
 }
 
+// RowSink receives one generated row. LoadRows calls it in a fixed order,
+// so any store fed the same seed holds the same rows.
+type RowSink func(table memstore.TableID, key uint64, value []byte) error
+
 // Load populates one machine's share (call with the same node id on the
 // primary and on each backup machine that replicates it). Like every loader
 // here it writes through memstore.Table.Load, so it must run before the
 // machine begins its first transaction.
 func Load(store *memstore.Store, c Config, node int, seed uint64) error {
+	return LoadRows(c, node, seed, storeSink(store))
+}
+
+// LoadWarehouse populates a single warehouse's rows into store (exported so
+// backups can load exactly the shards they replicate).
+func LoadWarehouse(store *memstore.Store, w int, rng *sim.Rand) error {
+	return warehouseRows(w, rng, storeSink(store))
+}
+
+func storeSink(store *memstore.Store) RowSink {
+	return func(table memstore.TableID, key uint64, value []byte) error {
+		_, err := store.Table(table).Load(key, value)
+		return err
+	}
+}
+
+// LoadRows generates machine node's share of the database — the replicated
+// ITEM table, then each of the node's warehouses — into put.
+func LoadRows(c Config, node int, seed uint64, put RowSink) error {
 	rng := sim.NewRand(seed + 1)
-	// ITEM replicates everywhere.
 	for i := 1; i <= ItemCount; i++ {
-		if _, err := store.Table(TableItem).Load(IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
+		if err := put(TableItem, IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
 			return fmt.Errorf("tpcc load item %d: %w", i, err)
 		}
 	}
 	for _, w := range c.WarehousesOf(node) {
-		if err := LoadWarehouse(store, w, rng); err != nil {
+		if err := warehouseRows(w, rng, put); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// LoadWarehouse populates a single warehouse's rows into store (exported so
-// backups can load exactly the shards they replicate).
-func LoadWarehouse(store *memstore.Store, w int, rng *sim.Rand) error {
-	if _, err := store.Table(TableWarehouse).Load(WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
+// warehouseRows generates warehouse w's rows into put.
+func warehouseRows(w int, rng *sim.Rand, put RowSink) error {
+	if err := put(TableWarehouse, WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
 		return fmt.Errorf("tpcc load warehouse %d: %w", w, err)
 	}
 	for d := 1; d <= DistrictsPerWarehouse; d++ {
-		if _, err := store.Table(TableDistrict).Load(DKey(w, d), DistrictRow(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
+		if err := put(TableDistrict, DKey(w, d), DistrictRow(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
 			return err
 		}
 		for cu := 1; cu <= CustomersPerDistrict; cu++ {
-			if _, err := store.Table(TableCustomer).Load(CKey(w, d, cu), CustomerRow(-10, uint64(rng.Intn(5000)))); err != nil {
+			if err := put(TableCustomer, CKey(w, d, cu), CustomerRow(-10, uint64(rng.Intn(5000)))); err != nil {
 				return err
 			}
-			if _, err := store.Table(TableCustLastOrder).Load(CKey(w, d, cu), make([]byte, lastOrderSize)); err != nil {
+			if err := put(TableCustLastOrder, CKey(w, d, cu), make([]byte, lastOrderSize)); err != nil {
 				return err
 			}
 		}
 	}
 	for i := 1; i <= StockPerWarehouse; i++ {
-		if _, err := store.Table(TableStock).Load(SKey(w, i), StockRow(uint64(10+rng.Intn(91)))); err != nil {
+		if err := put(TableStock, SKey(w, i), StockRow(uint64(10+rng.Intn(91)))); err != nil {
 			return err
 		}
 	}

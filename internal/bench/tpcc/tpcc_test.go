@@ -105,86 +105,6 @@ func TestCrossWarehouseKnob(t *testing.T) {
 	}
 }
 
-func TestNewOrderAndConsistency(t *testing.T) {
-	_, engines, cfg := tpccWorld(t, 1, 1, 1)
-	wk := engines[0].NewWorker(0)
-	g := NewGen(cfg, 1, 3)
-	ex := NewExecutor(wk, g)
-	for i := 0; i < 30; i++ {
-		if err := ex.NewOrder(g.GenNewOrder()); err != nil {
-			t.Fatalf("new-order %d: %v", i, err)
-		}
-	}
-	// Consistency: sum over districts of (nextOID-1) == orders inserted.
-	var orders uint64
-	store := engines[0].M.Store
-	for d := 1; d <= DistrictsPerWarehouse; d++ {
-		off, ok := store.Table(TableDistrict).Lookup(DKey(1, d))
-		if !ok {
-			t.Fatal("district missing")
-		}
-		orders += DistrictNextOID(store.Table(TableDistrict).ReadValueNonTx(off)) - InitialNextOrder
-	}
-	if orders != 30 {
-		t.Fatalf("district counters: %d orders, want 30", orders)
-	}
-	if got := store.Table(TableOrder).Ordered().Len(); got != 30 {
-		t.Fatalf("order rows: %d", got)
-	}
-	if got := store.Table(TableNewOrder).Ordered().Len(); got != 30 {
-		t.Fatalf("new-order rows: %d", got)
-	}
-}
-
-func TestPaymentYTDConsistency(t *testing.T) {
-	_, engines, cfg := tpccWorld(t, 1, 1, 1)
-	wk := engines[0].NewWorker(0)
-	g := NewGen(cfg, 1, 4)
-	ex := NewExecutor(wk, g)
-	var want uint64
-	for i := 0; i < 40; i++ {
-		p := g.GenPayment()
-		if err := ex.Payment(p); err != nil {
-			t.Fatalf("payment: %v", err)
-		}
-		want += p.Amount
-	}
-	store := engines[0].M.Store
-	off, _ := store.Table(TableWarehouse).Lookup(WKey(1))
-	if got := WarehouseYTD(store.Table(TableWarehouse).ReadValueNonTx(off)); got != want {
-		t.Fatalf("warehouse ytd %d want %d", got, want)
-	}
-	var dytd uint64
-	for d := 1; d <= DistrictsPerWarehouse; d++ {
-		off, _ := store.Table(TableDistrict).Lookup(DKey(1, d))
-		dytd += DistrictYTD(store.Table(TableDistrict).ReadValueNonTx(off))
-	}
-	if dytd != want {
-		t.Fatalf("district ytd sum %d want %d", dytd, want)
-	}
-}
-
-func TestDeliveryConsumesNewOrders(t *testing.T) {
-	_, engines, cfg := tpccWorld(t, 1, 1, 1)
-	wk := engines[0].NewWorker(0)
-	g := NewGen(cfg, 1, 8)
-	ex := NewExecutor(wk, g)
-	for i := 0; i < 15; i++ {
-		if err := ex.NewOrder(g.GenNewOrder()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store := engines[0].M.Store
-	before := store.Table(TableNewOrder).Ordered().Len()
-	if err := ex.Delivery(); err != nil {
-		t.Fatalf("delivery: %v", err)
-	}
-	after := store.Table(TableNewOrder).Ordered().Len()
-	if after >= before {
-		t.Fatalf("delivery consumed nothing: %d -> %d", before, after)
-	}
-}
-
 func TestStandardMixRuns(t *testing.T) {
 	_, engines, cfg := tpccWorld(t, 2, 1, 1)
 	var wg sync.WaitGroup

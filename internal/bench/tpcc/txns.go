@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"drtmr/internal/memstore"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
@@ -157,6 +158,9 @@ type PaymentParams struct {
 	CW, CD int // customer's warehouse/district (remote with RemotePaymentProb)
 	C      int
 	Amount uint64
+	// History is the generator-unique sequence of the HISTORY row this
+	// payment inserts.
+	History uint64
 	// Distributed reports whether CW is on another machine.
 	Distributed bool
 }
@@ -174,33 +178,104 @@ func (g *Gen) GenPayment() PaymentParams {
 	}
 	p.C = g.customer()
 	p.Distributed = g.cfg.NodeOfWarehouse(p.CW) != g.node
+	g.hseq++
+	p.History = uint64(g.node)<<32 | g.hseq
 	return p
 }
 
-// nextHistory returns a unique history sequence for this generator.
-func (g *Gen) nextHistory() uint64 {
-	g.hseq++
-	return uint64(g.node)<<32 | g.hseq
+// OrderStatusParams is one generated order-status: a home-warehouse
+// customer.
+type OrderStatusParams struct{ W, D, C int }
+
+// GenOrderStatus draws an order-status.
+func (g *Gen) GenOrderStatus() OrderStatusParams {
+	p := OrderStatusParams{W: g.home, D: 1 + g.rng.Intn(DistrictsPerWarehouse)}
+	p.C = g.customer()
+	return p
 }
 
-// Executor runs TPC-C transactions on one DrTM+R worker.
+// DeliveryParams is one generated delivery of the home warehouse.
+type DeliveryParams struct {
+	W       int
+	Carrier uint64
+}
+
+// GenDelivery draws a delivery.
+func (g *Gen) GenDelivery() DeliveryParams {
+	return DeliveryParams{W: g.home, Carrier: uint64(1 + g.rng.Intn(10))}
+}
+
+// StockLevelParams is one generated stock-level of a home district.
+type StockLevelParams struct {
+	W, D      int
+	Threshold uint64
+}
+
+// GenStockLevel draws a stock-level.
+func (g *Gen) GenStockLevel() StockLevelParams {
+	p := StockLevelParams{W: g.home, D: 1 + g.rng.Intn(DistrictsPerWarehouse)}
+	p.Threshold = uint64(10 + g.rng.Intn(11))
+	return p
+}
+
+// Tx is the record access a transaction body makes. *txn.Txn satisfies it;
+// the baseline systems supply adapters. A missing record reads as
+// txn.ErrNotFound on every system.
+type Tx interface {
+	Read(table memstore.TableID, key uint64) ([]byte, error)
+	ReadStable(table memstore.TableID, key uint64) ([]byte, error)
+	Write(table memstore.TableID, key uint64, value []byte) error
+	Add(table memstore.TableID, key uint64, fieldOff int, delta uint64) error
+	Insert(table memstore.TableID, key uint64, value []byte) error
+	Delete(table memstore.TableID, key uint64) error
+}
+
+// System is what the transactions run on: a runner that executes a body as
+// one transaction, retrying until it commits or fails, and the worker's home
+// machine store. Delivery's oldest-new-order probe and StockLevel's
+// order-line scan go through that store's ordered index directly; both are
+// machine-local and untracked on every system.
+type System interface {
+	Run(readOnly bool, body func(Tx) error) error
+	Store() *memstore.Store
+}
+
+// worker runs the transactions on a DrTM+R worker.
+type worker struct{ w *txn.Worker }
+
+func (s worker) Run(readOnly bool, body func(Tx) error) error {
+	fn := func(tx *txn.Txn) error { return body(tx) }
+	if readOnly {
+		return s.w.RunReadOnly(fn)
+	}
+	return s.w.Run(fn)
+}
+
+func (s worker) Store() *memstore.Store { return s.w.E.M.Store }
+
+// Executor runs TPC-C transactions on one worker of a System.
 type Executor struct {
-	W   *txn.Worker
+	Sys System
 	Gen *Gen
-	cfg Config
 
 	// Committed per type (new-order throughput is the paper's metric).
 	Counts [numTxTypes]uint64
 }
 
-// NewExecutor pairs a worker with a generator.
-func NewExecutor(w *txn.Worker, g *Gen) *Executor {
-	return &Executor{W: w, Gen: g, cfg: g.cfg}
-}
+// NewExecutor pairs a DrTM+R worker with a generator.
+func NewExecutor(w *txn.Worker, g *Gen) *Executor { return NewExecutorOn(worker{w}, g) }
+
+// NewExecutorOn pairs a worker of any System with a generator.
+func NewExecutorOn(sys System, g *Gen) *Executor { return &Executor{Sys: sys, Gen: g} }
 
 // RunOne executes one standard-mix transaction; returns its type.
 func (e *Executor) RunOne() (TxType, error) {
 	t := e.Gen.NextType()
+	return t, e.Run(t)
+}
+
+// Run draws the parameters of a type-t transaction and executes it.
+func (e *Executor) Run(t TxType) error {
 	var err error
 	switch t {
 	case TxNewOrder:
@@ -208,23 +283,23 @@ func (e *Executor) RunOne() (TxType, error) {
 	case TxPayment:
 		err = e.Payment(e.Gen.GenPayment())
 	case TxOrderStatus:
-		err = e.OrderStatus()
+		err = e.OrderStatus(e.Gen.GenOrderStatus())
 	case TxDelivery:
-		err = e.Delivery()
+		err = e.Delivery(e.Gen.GenDelivery())
 	case TxStockLevel:
-		err = e.StockLevel()
+		err = e.StockLevel(e.Gen.GenStockLevel())
 	}
 	if err == nil {
 		e.Counts[t]++
 	}
-	return t, err
+	return err
 }
 
 // NewOrder: read warehouse/district/customer/items, update district next-o,
 // update stocks (possibly remote — the distributed case), insert order,
 // new-order and order lines.
 func (e *Executor) NewOrder(p NewOrderParams) error {
-	return e.W.Run(func(tx *txn.Txn) error {
+	return e.Sys.Run(false, func(tx Tx) error {
 		// Only the load-time-immutable tax is used, so a stable (untracked)
 		// read: a tracked read here false-shares the row with Payment's YTD
 		// deltas and validate-aborts for nothing.
@@ -300,12 +375,12 @@ func (e *Executor) NewOrder(p NewOrderParams) error {
 // remote), insert a history row. Every update is a pure accumulator bump on
 // the workload's hottest records (warehouse and district rows are shared by
 // every home transaction), so all three go through the commutative-delta
-// path: the transaction carries no read set at all and cannot
+// path: on DrTM+R the transaction carries no read set at all and cannot
 // validate-abort — concurrent Payments commute instead of retrying. With
 // ContentionOff the Adds degrade inside the engine to the read-modify-write
 // shape this function had before (the pure-OCC ablation).
 func (e *Executor) Payment(p PaymentParams) error {
-	return e.W.Run(func(tx *txn.Txn) error {
+	return e.Sys.Run(false, func(tx Tx) error {
 		if err := tx.Add(TableWarehouse, WKey(p.W), WarehouseYTDOff, p.Amount); err != nil {
 			return err
 		}
@@ -325,17 +400,14 @@ func (e *Executor) Payment(p PaymentParams) error {
 		h := make([]byte, historySize)
 		putU64(h, 0, uint64(p.C))
 		putU64(h, 8, p.Amount)
-		return tx.Insert(TableHistory, HKey(p.W, e.Gen.nextHistory()), h)
+		return tx.Insert(TableHistory, HKey(p.W, p.History), h)
 	})
 }
 
 // OrderStatus (read-only): customer, their last order and its lines.
-func (e *Executor) OrderStatus() error {
-	g := e.Gen
-	w := g.home
-	d := 1 + g.rng.Intn(DistrictsPerWarehouse)
-	c := g.customer()
-	return e.W.RunReadOnly(func(tx *txn.Txn) error {
+func (e *Executor) OrderStatus(p OrderStatusParams) error {
+	w, d, c := p.W, p.D, p.C
+	return e.Sys.Run(true, func(tx Tx) error {
 		if _, err := tx.Read(TableCustomer, CKey(w, d, c)); err != nil {
 			return err
 		}
@@ -371,18 +443,16 @@ func (e *Executor) OrderStatus() error {
 // oldest-row probe goes through the local ordered index; the row itself is
 // then read through the protocol, so two racing deliveries of the same row
 // serialize on its incarnation (one aborts and retries onto the next row).
-func (e *Executor) Delivery() error {
-	g := e.Gen
-	w := g.home
-	store := e.W.E.M.Store
-	carrier := uint64(1 + g.rng.Intn(10))
+func (e *Executor) Delivery(p DeliveryParams) error {
+	w := p.W
+	store := e.Sys.Store()
 	for d := 1; d <= DistrictsPerWarehouse; d++ {
 		lo, hi := OKey(w, d, 0), OKey(w, d, 1<<24-1)
 		key, _, ok := store.Table(TableNewOrder).Ordered().MinGE(lo)
 		if !ok || key > hi {
 			continue // no undelivered order in this district
 		}
-		err := e.W.Run(func(tx *txn.Txn) error {
+		err := e.Sys.Run(false, func(tx Tx) error {
 			if _, err := tx.Read(TableNewOrder, key); err != nil {
 				if errors.Is(err, txn.ErrNotFound) {
 					return nil // another delivery raced us; skip
@@ -400,7 +470,7 @@ func (e *Executor) Delivery() error {
 				return err
 			}
 			o2 := append([]byte(nil), orow...)
-			SetOrderCarrier(o2, carrier)
+			SetOrderCarrier(o2, p.Carrier)
 			if err := tx.Write(TableOrder, key, o2); err != nil {
 				return err
 			}
@@ -441,12 +511,10 @@ func (e *Executor) Delivery() error {
 
 // StockLevel (read-only): count stock rows below a threshold among the items
 // of the district's last 20 orders. Machine-local.
-func (e *Executor) StockLevel() error {
-	g := e.Gen
-	w := g.home
-	d := 1 + g.rng.Intn(DistrictsPerWarehouse)
-	threshold := uint64(10 + g.rng.Intn(11))
-	return e.W.RunReadOnly(func(tx *txn.Txn) error {
+func (e *Executor) StockLevel(p StockLevelParams) error {
+	w, d := p.W, p.D
+	store := e.Sys.Store()
+	return e.Sys.Run(true, func(tx Tx) error {
 		drow, err := tx.Read(TableDistrict, DKey(w, d))
 		if err != nil {
 			return err
@@ -457,17 +525,17 @@ func (e *Executor) StockLevel() error {
 			loO = 1
 		}
 		// Probe order-line keys through the local ordered index, then
-		// read each row through the protocol.
-		items := make(map[uint64]struct{})
-		store := tx.Store()
+		// read each row through the protocol. The scan yields each key
+		// once, in key order, so the reads run in a deterministic order.
+		var keys []uint64
 		store.Table(TableOrderLine).Ordered().Scan(
 			OLKey(w, d, loO, 0), OLKey(w, d, next, 15),
 			func(key, _ uint64) bool {
-				items[key] = struct{}{}
-				return len(items) < 200
+				keys = append(keys, key)
+				return len(keys) < 200
 			})
 		low := 0
-		for key := range items {
+		for _, key := range keys {
 			ol, err := tx.Read(TableOrderLine, key)
 			if err != nil {
 				if errors.Is(err, txn.ErrNotFound) {
@@ -482,7 +550,7 @@ func (e *Executor) StockLevel() error {
 				}
 				return err
 			}
-			if StockQuantity(srow) < threshold {
+			if StockQuantity(srow) < p.Threshold {
 				low++
 			}
 		}

@@ -88,17 +88,6 @@ func DefaultProfile() LatencyProfile {
 	}
 }
 
-// IPoIBProfile models IP-over-InfiniBand socket messaging (the transport the
-// paper runs Calvin on): no one-sided verbs, kernel-stack latencies.
-func IPoIBProfile() LatencyProfile {
-	return LatencyProfile{
-		Read:  40 * time.Microsecond, // emulated via request/response
-		Write: 40 * time.Microsecond,
-		CAS:   40 * time.Microsecond,
-		Send:  40 * time.Microsecond,
-	}
-}
-
 // Config configures the simulated fabric.
 type Config struct {
 	Profile LatencyProfile

@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
+# The benchmark driver is a nested module, so the build above never compiles
+# it: build, vet and test it here, so a harness or workload API change
+# cannot silently break the benchmark.
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
 # Static protocol invariants: the drtmr-vet analyzer suite (internal/lint)
 # enforces the runtime invariants at compile time — no blocking/yield inside
 # HTM regions, no wall clock or global rand in protocol packages, fully
