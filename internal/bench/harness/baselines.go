@@ -343,29 +343,26 @@ func addField(v []byte, off int, delta uint64) {
 	binary.LittleEndian.PutUint64(v[off:], binary.LittleEndian.Uint64(v[off:])+delta)
 }
 
-// applyTo installs m in st. The error is dropped by every caller: the
-// baselines apply index mutations after the transaction commits, so a
-// racing Delivery may already have removed the row, and there is nothing
-// left to undo.
-func (m mutation) applyTo(st *memstore.Store) error {
-	if m.del {
-		return st.Table(m.table).Delete(m.key)
-	}
-	_, err := st.Table(m.table).Insert(m.key, m.value)
-	return err
-}
-
-// directMutate applies an insert/delete straight to the owning machine's
-// store, charging the worker clock the way the baseline's messaging would
-// (DrTM ships index mutations to the host like DrTM+R; Calvin folds them
-// into its deterministic plan — either way one message per remote mutation).
-func directMutate(c *cluster.Cluster, clk *sim.Clock, self rdma.NodeID, node rdma.NodeID,
-	cost txn.CostModel, fn func(st *memstore.Store) error) error {
+// directMutate applies inserts and deletes straight to machine node's
+// store, charging the worker clock for one message from self the way the
+// baseline's messaging would (DrTM ships index mutations to the host like
+// DrTM+R; Calvin folds deletes into its deterministic plan). Errors are
+// dropped: the baselines apply index mutations after the transaction
+// commits, so a racing Delivery may already have removed the row, and
+// there is nothing left to undo.
+func directMutate(c *cluster.Cluster, clk *sim.Clock, self, node rdma.NodeID, cost txn.CostModel, muts []mutation) {
 	clk.Advance(cost.LocalAccess)
 	if node != self {
 		clk.Advance(5 * time.Microsecond)
 	}
-	return fn(c.Machines[node].Store)
+	st := c.Machines[node].Store
+	for _, m := range muts {
+		if m.del {
+			_ = st.Table(m.table).Delete(m.key)
+		} else {
+			_, _ = st.Table(m.table).Insert(m.key, m.value)
+		}
+	}
 }
 
 type drtmEngine struct {
@@ -385,17 +382,15 @@ func (e drtmEngine) run(refs []ref, body func(declaredCtx) error) error {
 func (e drtmEngine) apply(muts []mutation, owner func(memstore.TableID, uint64) rdma.NodeID) {
 	for len(muts) > 0 {
 		node := owner(muts[0].table, muts[0].key)
-		var rest []mutation
-		_ = directMutate(e.c, &e.w.Clk, e.w.E.M.ID, node, e.w.E.Cost, func(st *memstore.Store) error {
-			for _, m := range muts {
-				if owner(m.table, m.key) != node {
-					rest = append(rest, m)
-					continue
-				}
-				_ = m.applyTo(st)
+		var here, rest []mutation
+		for _, m := range muts {
+			if owner(m.table, m.key) == node {
+				here = append(here, m)
+			} else {
+				rest = append(rest, m)
 			}
-			return nil
-		})
+		}
+		directMutate(e.c, &e.w.Clk, e.w.E.M.ID, node, e.w.E.Cost, here)
 		muts = rest
 	}
 }
@@ -425,7 +420,7 @@ func (e calvinEngine) apply(muts []mutation, owner func(memstore.TableID, uint64
 			_ = e.w.Insert(m.table, m.key, m.value)
 			continue
 		}
-		_ = directMutate(e.c, &e.w.Clk, e.w.Node, owner(m.table, m.key), txn.DefaultCosts(), m.applyTo)
+		directMutate(e.c, &e.w.Clk, e.w.Node, owner(m.table, m.key), txn.DefaultCosts(), []mutation{m})
 	}
 }
 
@@ -452,7 +447,7 @@ func runSilo(o Options) Result {
 		panic(err)
 	}
 	return driveBaseline(o, wcfg, func(_, tid int, g *tpcc.Gen) baselineWorker {
-		s := &siloWorker{w: db.NewWorker(tid), g: g}
+		s := &siloWorker{w: db.NewWorker(tid)}
 		s.ex = tpcc.NewExecutorOn(s, g)
 		return s
 	})
@@ -464,7 +459,6 @@ func runSilo(o Options) Result {
 // run on: a single customer read stands in for each.
 type siloWorker struct {
 	w  *silo.Worker
-	g  *tpcc.Gen
 	ex *tpcc.Executor
 	n  int // transactions begun; spreads the stand-in reads over customers
 }
@@ -481,15 +475,16 @@ func (s *siloWorker) Store() *memstore.Store { return nil }
 func (s *siloWorker) runOne() (tpcc.TxType, error) {
 	i := s.n
 	s.n++
-	t := s.g.NextType()
+	g := s.ex.Gen
+	t := g.NextType()
 	// The stand-ins still draw their transaction's parameters, keeping the
 	// stream aligned with the other systems'.
 	var w int
 	switch t {
 	case tpcc.TxDelivery:
-		w = s.g.GenDelivery().W
+		w = g.GenDelivery().W
 	case tpcc.TxStockLevel:
-		w = s.g.GenStockLevel().W
+		w = g.GenStockLevel().W
 	default:
 		return t, s.ex.Run(t)
 	}

@@ -209,9 +209,21 @@ const (
 	CustomerPayCntOff  = 16 // customer paymentCnt counter
 )
 
-// Warehouse row: [tax, ytd].
-func WarehouseRow(tax, ytd uint64) []byte {
-	b := make([]byte, warehouseSize)
+// rowBuf is where the loaders build each row, sized for the largest loaded
+// row. A RowSink copies the value it is given, so one buffer serves a whole
+// load and generating the rows allocates nothing per row.
+type rowBuf [customerSize]byte
+
+// take returns the first n bytes of r, zeroed.
+func (r *rowBuf) take(n int) []byte {
+	b := r[:n]
+	clear(b)
+	return b
+}
+
+// warehouse builds a warehouse row: [tax, ytd].
+func (r *rowBuf) warehouse(tax, ytd uint64) []byte {
+	b := r.take(warehouseSize)
 	putU64(b, 0, tax)
 	putU64(b, 8, ytd)
 	return b
@@ -226,9 +238,9 @@ func WarehouseTax(b []byte) uint64 { return getU64(b, 0) }
 // SetWarehouseYTD updates the YTD field in place.
 func SetWarehouseYTD(b []byte, v uint64) { putU64(b, 8, v) }
 
-// District row: [tax, ytd, nextOID].
-func DistrictRow(tax, ytd, nextOID uint64) []byte {
-	b := make([]byte, districtSize)
+// district builds a district row: [tax, ytd, nextOID].
+func (r *rowBuf) district(tax, ytd, nextOID uint64) []byte {
+	b := r.take(districtSize)
 	putU64(b, 0, tax)
 	putU64(b, 8, ytd)
 	putU64(b, 16, nextOID)
@@ -247,9 +259,10 @@ func DistrictYTD(b []byte) uint64 { return getU64(b, 8) }
 // SetDistrictYTD updates the YTD field in place.
 func SetDistrictYTD(b []byte, v uint64) { putU64(b, 8, v) }
 
-// Customer row: [balance(int64), ytdPayment, paymentCnt, deliveryCnt, discount].
-func CustomerRow(balance int64, discount uint64) []byte {
-	b := make([]byte, customerSize)
+// customer builds a customer row: [balance(int64), ytdPayment, paymentCnt,
+// deliveryCnt, discount].
+func (r *rowBuf) customer(balance int64, discount uint64) []byte {
+	b := r.take(customerSize)
 	putU64(b, 0, uint64(balance))
 	putU64(b, 32, discount)
 	return b
@@ -312,9 +325,9 @@ func OrderLineAmount(b []byte) uint64 { return getU64(b, 24) }
 // SetOrderLineDelivery sets the delivery date in place.
 func SetOrderLineDelivery(b []byte, v uint64) { putU64(b, 32, v) }
 
-// Item row: [price].
-func ItemRow(price uint64) []byte {
-	b := make([]byte, itemSize)
+// item builds an item row: [price].
+func (r *rowBuf) item(price uint64) []byte {
+	b := r.take(itemSize)
 	putU64(b, 0, price)
 	return b
 }
@@ -322,9 +335,9 @@ func ItemRow(price uint64) []byte {
 // ItemPrice extracts the price.
 func ItemPrice(b []byte) uint64 { return getU64(b, 0) }
 
-// Stock row: [quantity, ytd, orderCnt, remoteCnt].
-func StockRow(quantity uint64) []byte {
-	b := make([]byte, stockSize)
+// stock builds a stock row: [quantity, ytd, orderCnt, remoteCnt].
+func (r *rowBuf) stock(quantity uint64) []byte {
+	b := r.take(stockSize)
 	putU64(b, 0, quantity)
 	return b
 }
@@ -350,7 +363,8 @@ func ApplyStockOrder(b []byte, qty uint64, remote bool) {
 }
 
 // RowSink receives one generated row. LoadRows calls it in a fixed order,
-// so any store fed the same seed holds the same rows.
+// so any store fed the same seed holds the same rows. value is valid only
+// for the call: a sink that keeps it must copy it.
 type RowSink func(table memstore.TableID, key uint64, value []byte) error
 
 // Load populates one machine's share (call with the same node id on the
@@ -378,8 +392,9 @@ func storeSink(store *memstore.Store) RowSink {
 // ITEM table, then each of the node's warehouses — into put.
 func LoadRows(c Config, node int, seed uint64, put RowSink) error {
 	rng := sim.NewRand(seed + 1)
+	var r rowBuf
 	for i := 1; i <= ItemCount; i++ {
-		if err := put(TableItem, IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
+		if err := put(TableItem, IKey(i), r.item(uint64(100+rng.Intn(9900)))); err != nil {
 			return fmt.Errorf("tpcc load item %d: %w", i, err)
 		}
 	}
@@ -393,24 +408,25 @@ func LoadRows(c Config, node int, seed uint64, put RowSink) error {
 
 // warehouseRows generates warehouse w's rows into put.
 func warehouseRows(w int, rng *sim.Rand, put RowSink) error {
-	if err := put(TableWarehouse, WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
+	var r rowBuf
+	if err := put(TableWarehouse, WKey(w), r.warehouse(uint64(rng.Intn(2000)), 0)); err != nil {
 		return fmt.Errorf("tpcc load warehouse %d: %w", w, err)
 	}
 	for d := 1; d <= DistrictsPerWarehouse; d++ {
-		if err := put(TableDistrict, DKey(w, d), DistrictRow(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
+		if err := put(TableDistrict, DKey(w, d), r.district(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
 			return err
 		}
 		for cu := 1; cu <= CustomersPerDistrict; cu++ {
-			if err := put(TableCustomer, CKey(w, d, cu), CustomerRow(-10, uint64(rng.Intn(5000)))); err != nil {
+			if err := put(TableCustomer, CKey(w, d, cu), r.customer(-10, uint64(rng.Intn(5000)))); err != nil {
 				return err
 			}
-			if err := put(TableCustLastOrder, CKey(w, d, cu), make([]byte, lastOrderSize)); err != nil {
+			if err := put(TableCustLastOrder, CKey(w, d, cu), r.take(lastOrderSize)); err != nil {
 				return err
 			}
 		}
 	}
 	for i := 1; i <= StockPerWarehouse; i++ {
-		if err := put(TableStock, SKey(w, i), StockRow(uint64(10+rng.Intn(91)))); err != nil {
+		if err := put(TableStock, SKey(w, i), r.stock(uint64(10+rng.Intn(91)))); err != nil {
 			return err
 		}
 	}

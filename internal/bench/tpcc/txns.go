@@ -158,9 +158,6 @@ type PaymentParams struct {
 	CW, CD int // customer's warehouse/district (remote with RemotePaymentProb)
 	C      int
 	Amount uint64
-	// History is the generator-unique sequence of the HISTORY row this
-	// payment inserts.
-	History uint64
 	// Distributed reports whether CW is on another machine.
 	Distributed bool
 }
@@ -178,9 +175,13 @@ func (g *Gen) GenPayment() PaymentParams {
 	}
 	p.C = g.customer()
 	p.Distributed = g.cfg.NodeOfWarehouse(p.CW) != g.node
-	g.hseq++
-	p.History = uint64(g.node)<<32 | g.hseq
 	return p
+}
+
+// nextHistory returns a unique history sequence for this generator.
+func (g *Gen) nextHistory() uint64 {
+	g.hseq++
+	return uint64(g.node)<<32 | g.hseq
 }
 
 // OrderStatusParams is one generated order-status: a home-warehouse
@@ -400,7 +401,7 @@ func (e *Executor) Payment(p PaymentParams) error {
 		h := make([]byte, historySize)
 		putU64(h, 0, uint64(p.C))
 		putU64(h, 8, p.Amount)
-		return tx.Insert(TableHistory, HKey(p.W, p.History), h)
+		return tx.Insert(TableHistory, HKey(p.W, e.Gen.nextHistory()), h)
 	})
 }
 
