@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint lint-baseline race check bench bench-smoke trace torture serve
+.PHONY: all help build test vet lint race check bench bench-smoke trace torture serve
 
 all: check
 
@@ -8,14 +8,11 @@ help:
 	@echo "Targets:"
 	@echo "  build        go build ./..."
 	@echo "  vet          go vet ./... (after build)"
-	@echo "  lint         drtmr-vet ratcheted sweep (internal/lint), both build-"
-	@echo "               tag halves: htmregion, virtualtime, abortattr, lockpair,"
-	@echo "               doorbell, lockorder, hotalloc, enumswitch; diffs against"
-	@echo "               lint-baseline.json in both directions (new findings AND"
-	@echo "               stale entries fail); SARIF at bin/drtmr-vet.sarif;"
-	@echo "               suppress with '//drtmr:allow <analyzer> <reason>'"
-	@echo "  lint-baseline  regenerate lint-baseline.json from current findings"
-	@echo "               (policy: keep it empty — fix or //drtmr:allow instead)"
+	@echo "  lint         drtmr-vet analyzer suite (internal/lint) as a go vet"
+	@echo "               tool over both build-tag halves: htmregion, virtualtime,"
+	@echo "               abortattr, lockpair, doorbell, lockorder, hotalloc,"
+	@echo "               enumswitch; any finding fails; suppress with"
+	@echo "               '//drtmr:allow <analyzer> <reason>'"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
 	@echo "  check        CI gate: build + vet + lint + race + smoke benchmarks"
@@ -68,20 +65,12 @@ vet: build
 	$(GO) vet ./...
 
 # lint runs the protocol-invariant analyzer suite through the real go vet
-# -vettool driver (cmd/drtmr-vet speaks the unitchecker protocol), sweeping
-# both race/!race build-tag halves and ratcheting against the committed
-# baseline in both directions. The SARIF log is the CI code-scanning
-# artifact.
+# -vettool driver (cmd/drtmr-vet speaks the unitchecker protocol), once per
+# race/!race build-tag half. Any finding fails.
 lint: build
 	$(GO) build -o bin/drtmr-vet ./cmd/drtmr-vet
-	./bin/drtmr-vet -race -sarif bin/drtmr-vet.sarif ./...
-
-# lint-baseline regenerates lint-baseline.json from the current findings.
-# Policy: the committed baseline stays empty (DESIGN.md, Static invariants);
-# use this only to audit what a dirty tree would ratchet.
-lint-baseline: build
-	$(GO) build -o bin/drtmr-vet ./cmd/drtmr-vet
-	./bin/drtmr-vet -race -write-baseline ./...
+	$(GO) vet -vettool=bin/drtmr-vet ./...
+	$(GO) vet -vettool=bin/drtmr-vet -tags race ./...
 
 test:
 	$(GO) test ./...

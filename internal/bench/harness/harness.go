@@ -560,19 +560,12 @@ func runDrTMR(o Options) Result {
 	var (
 		wg         sync.WaitGroup
 		mu         sync.Mutex
-		committed  uint64
 		newOrders  uint64
-		aborts     uint64
-		fallbacks  uint64
 		maxVirtual int64
-		phaseAgg   txn.Stats
+		agg        txn.Stats
 		latAgg     = obs.NewTypedHist(typeNames...)
-		abortAgg   obs.AbortMatrix
 		recorders  []*obs.Recorder
 		histories  []*obs.HistoryRecorder
-		hotAgg     = make(map[txn.HotKey]uint64)
-		queueWaits uint64
-		queueHist  obs.Histogram
 	)
 	for n := 0; n < o.Nodes; n++ {
 		for t := 0; t < o.ThreadsPerNode; t++ {
@@ -637,19 +630,9 @@ func runDrTMR(o Options) Result {
 					})
 				}
 				mu.Lock()
-				committed += w.Stats.Committed
+				agg.Merge(&w.Stats)
 				newOrders += localNO
-				aborts += w.Stats.AbortsTotal()
-				fallbacks += w.Stats.Fallbacks
-				phaseAgg.AddPhases(&w.Stats)
-				phaseAgg.AddOverlap(&w.Stats)
 				latAgg.Merge(lat)
-				abortAgg.Merge(&w.Stats.AbortCells)
-				for k, v := range w.Stats.KeyAborts {
-					hotAgg[k] += v
-				}
-				queueWaits += w.Stats.QueueWaits
-				queueHist.Merge(&w.Stats.QueueWaitHist)
 				if w.Rec != nil {
 					recorders = append(recorders, w.Rec)
 				}
@@ -664,19 +647,19 @@ func runDrTMR(o Options) Result {
 		}
 	}
 	wg.Wait()
-	r := summarize(o, committed, newOrders, aborts, fallbacks, maxVirtual)
-	r.Phases = phaseAgg.Phases
-	r.Yields = phaseAgg.CoYields
-	r.OverlapNanos = phaseAgg.CoOverlapNanos
-	r.StallNanos = phaseAgg.CoStallNanos
-	r.MaxInFlight = phaseAgg.CoMaxInFlight
+	r := summarize(o, agg.Committed, newOrders, agg.AbortsTotal(), agg.Fallbacks, maxVirtual)
+	r.Phases = agg.Phases
+	r.Yields = agg.CoYields
+	r.OverlapNanos = agg.CoOverlapNanos
+	r.StallNanos = agg.CoStallNanos
+	r.MaxInFlight = agg.CoMaxInFlight
 	r.Lat = latAgg
-	r.AbortMatrix = abortAgg
-	r.HotKeys = rankHotKeys(hotAgg)
-	r.ROVerbs = phaseAgg.ROVerbs
-	r.ROWakeups = phaseAgg.ROWakeups
-	r.QueueWaits = queueWaits
-	r.QueueWait = queueHist
+	r.AbortMatrix = agg.AbortCells
+	r.HotKeys = rankHotKeys(agg.KeyAborts)
+	r.ROVerbs = agg.ROVerbs
+	r.ROWakeups = agg.ROWakeups
+	r.QueueWaits = agg.QueueWaits
+	r.QueueWait = agg.QueueWaitHist
 	r.Trace = recorders
 	r.History = histories
 	r.applyHistogram()

@@ -25,12 +25,15 @@ func backoff(rng *sim.Rand, attempt int) {
 	}
 }
 
-
 func mustCommitAdd(t *testing.T, e *Engine, rng *sim.Rand, off uint64, delta uint64) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		tx := e.Begin()
-		if _, err := tx.Add64(off, delta); err != nil {
+		v, err := tx.Load64(off)
+		if err == nil {
+			err = tx.Store64(off, v+delta)
+		}
+		if err != nil {
 			backoff(rng, attempt)
 			continue
 		}
@@ -353,58 +356,87 @@ func TestConcurrentTransferInvariant(t *testing.T) {
 	}
 }
 
+// TestMultiLineReadConsistentOrAbort runs transactional reads of three
+// cache lines against a writer flipping every byte between 0x00 and 0xFF.
+// A committed read may only observe what the writer's atomicity unit
+// guarantees: a non-transactional multi-line write lands line by line (the
+// §4.3 torn-read hazard), so each 64-byte line must be uniform but lines
+// may differ; a writer that flips all three lines inside one HTM
+// transaction is atomic, so the whole read must be uniform.
 func TestMultiLineReadConsistentOrAbort(t *testing.T) {
-	// A transactional multi-line read either sees a consistent snapshot
-	// or aborts; with a concurrent multi-line non-tx writer flipping all
-	// bytes between 0x00 and 0xFF, a committed read must never be mixed.
-	e := newTestEngine(4096, Config{})
 	const off, n = 0, 3 * sim.CachelineSize
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf0 := make([]byte, n)
-		buf1 := make([]byte, n)
-		for i := range buf1 {
-			buf1[i] = 0xFF
-		}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	for _, tc := range []struct {
+		name  string
+		write func(e *Engine, rng *sim.Rand, data []byte)
+		unit  int // bytes that must agree in a committed read
+	}{
+		{"nontx-writer", func(e *Engine, _ *sim.Rand, data []byte) {
+			e.WriteNonTx(off, data)
+		}, sim.CachelineSize},
+		{"htm-writer", func(e *Engine, rng *sim.Rand, data []byte) {
+			for attempt := 0; ; attempt++ {
+				tx := e.Begin()
+				if tx.Write(off, data) == nil && tx.Commit() == nil {
+					return
+				}
+				backoff(rng, attempt)
 			}
-			if i%2 == 0 {
-				e.WriteNonTx(off, buf1)
-			} else {
-				e.WriteNonTx(off, buf0)
+		}, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(4096, Config{})
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := sim.NewRand(1)
+				bufs := [2][]byte{make([]byte, n), make([]byte, n)}
+				for i := range bufs[1] {
+					bufs[1][i] = 0xFF
+				}
+				for i := 1; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					tc.write(e, rng, bufs[i%2])
+				}
+			}()
+			mixed := 0
+			for i := 0; i < 500; i++ {
+				tx := e.Begin()
+				b, err := tx.Read(off, n, nil)
+				if err != nil {
+					continue
+				}
+				if err := tx.Commit(); err != nil {
+					continue
+				}
+				for u := 0; u < n; u += tc.unit {
+					if !allEqual(b[u : u+tc.unit]) {
+						mixed++
+						break
+					}
+				}
 			}
-		}
-	}()
-	mixed := 0
-	for i := 0; i < 500; i++ {
-		tx := e.Begin()
-		b, err := tx.Read(off, n, nil)
-		if err != nil {
-			continue
-		}
-		if err := tx.Commit(); err != nil {
-			continue
-		}
-		first := b[0]
-		for _, c := range b {
-			if c != first {
-				mixed++
-				break
+			close(stop)
+			wg.Wait()
+			if mixed > 0 {
+				t.Fatalf("%d committed transactional reads observed a torn %d-byte unit", mixed, tc.unit)
 			}
+		})
+	}
+}
+
+func allEqual(b []byte) bool {
+	for _, c := range b {
+		if c != b[0] {
+			return false
 		}
 	}
-	close(stop)
-	wg.Wait()
-	if mixed > 0 {
-		t.Fatalf("%d committed transactional reads observed torn data", mixed)
-	}
+	return true
 }
 
 func TestPropertyUndoExactRestore(t *testing.T) {

@@ -17,12 +17,6 @@
 // summarized so its dependents see its function behaviour and lock edges;
 // stdlib dependency units are acknowledged with an empty facts file (their
 // behaviour is synthesized from a table instead).
-//
-// Machine-readable output: when DRTMRVET_EMIT names a directory, each unit
-// with findings also writes them there as JSON (one file per unit), which
-// the drtmr-vet CLI aggregates into ratchet/JSON/SARIF reports. Findings
-// still go to stderr with exit status 2 — exiting 0 would let cmd/go cache
-// the run and swallow the emission on the next invocation.
 package unitchecker
 
 import (
@@ -42,7 +36,6 @@ import (
 	"strings"
 
 	"drtmr/internal/lint/analysis"
-	"drtmr/internal/lint/ratchet"
 )
 
 // Config is cmd/go's vet.cfg (cmd/go/internal/work.vetConfig). Fields we do
@@ -79,7 +72,6 @@ func Main(analyzers ...*analysis.Analyzer) {
 	}
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [-analyzer...] <vet.cfg>   (driven by go vet -vettool=%s)\n", progname, progname)
-		fmt.Fprintf(os.Stderr, "       %s ./...                      (re-executes go vet -vettool=self)\n", progname)
 		fs.PrintDefaults()
 	}
 	// cmd/go passes -V=full as its own argument; tolerate it up front so
@@ -242,11 +234,6 @@ func analyzeUnit(cfgPath string, analyzers []*analysis.Analyzer) ([]string, erro
 	if err != nil {
 		return nil, err
 	}
-	if dir := os.Getenv("DRTMRVET_EMIT"); dir != "" && len(diags) > 0 {
-		if err := emitFindings(dir, cfg.ID, fset, diags); err != nil {
-			return nil, err
-		}
-	}
 	out := make([]string, 0, len(diags))
 	for _, d := range diags {
 		p := fset.Position(d.Pos)
@@ -278,29 +265,6 @@ func readDepFacts(cfg *Config) *analysis.DepFacts {
 		deps.Edges = append(deps.Edges, ps.Edges...)
 	}
 	return deps
-}
-
-// emitFindings writes one unit's findings as JSON into the DRTMRVET_EMIT
-// directory, named by a hash of the unit ID so parallel units never collide.
-func emitFindings(dir, unitID string, fset *token.FileSet, diags []analysis.Diagnostic) error {
-	fs := make([]ratchet.Finding, 0, len(diags))
-	for _, d := range diags {
-		p := fset.Position(d.Pos)
-		fs = append(fs, ratchet.Finding{
-			Analyzer: d.Analyzer,
-			File:     p.Filename,
-			Line:     p.Line,
-			Col:      p.Column,
-			Message:  d.Message,
-		})
-	}
-	data, err := json.Marshal(fs)
-	if err != nil {
-		return err
-	}
-	sum := sha256.Sum256([]byte(unitID))
-	name := fmt.Sprintf("unit-%x.json", sum[:16])
-	return os.WriteFile(filepath.Join(dir, name), data, 0o666)
 }
 
 // unitImportPath strips cmd/go's test-variant suffix

@@ -205,10 +205,6 @@ func (nic *NIC) Alive() bool { return nic.alive.Load() }
 // is preserved (battery-backed NVRAM).
 func (nic *NIC) Kill() { nic.alive.Store(false) }
 
-// Revive brings a killed machine back (used to model a replacement instance
-// taking over the NIC of a surviving machine).
-func (nic *NIC) Revive() { nic.alive.Store(true) }
-
 // charge advances the worker's virtual clock by the verb latency and queues
 // the wire bytes on both endpoint NICs' bandwidth resources. Saturation
 // shows up as NIC completion times running ahead of worker clocks.
@@ -430,15 +426,5 @@ func (nic *NIC) Recv(timeout time.Duration) (Message, error) {
 	//drtmr:allow virtualtime recv timeout is a backstop against harness deadlock, not protocol time
 	case <-time.After(timeout):
 		return Message{}, ErrRecvTimeout
-	}
-}
-
-// TryRecv polls the receive queue without blocking.
-func (nic *NIC) TryRecv() (Message, bool) {
-	select {
-	case m := <-nic.inbox:
-		return m, true
-	default:
-		return Message{}, false
 	}
 }

@@ -466,26 +466,36 @@ func (s *Stats) AbortsTotal() uint64 {
 	return t
 }
 
-// AddPhases accumulates another worker's phase counters (harness roll-up).
-func (s *Stats) AddPhases(o *Stats) {
+// Merge folds another worker's counters into s (the harness roll-up).
+// Every counter sums except CoMaxInFlight, which takes the max.
+func (s *Stats) Merge(o *Stats) {
+	s.Committed += o.Committed
+	for i := range s.Aborts {
+		s.Aborts[i] += o.Aborts[i]
+	}
+	s.Fallbacks += o.Fallbacks
+	s.Retries += o.Retries
 	for i := range s.Phases {
 		s.Phases[i].Verbs += o.Phases[i].Verbs
 		s.Phases[i].Batches += o.Phases[i].Batches
 		s.Phases[i].Nanos += o.Phases[i].Nanos
 	}
-	s.ROVerbs += o.ROVerbs
-	s.ROWakeups += o.ROWakeups
-}
-
-// AddOverlap accumulates another worker's coroutine overlap counters
-// (harness roll-up; MaxInFlight takes the max, the rest sum).
-func (s *Stats) AddOverlap(o *Stats) {
+	s.AbortCells.Merge(&o.AbortCells)
 	s.CoYields += o.CoYields
 	s.CoOverlapNanos += o.CoOverlapNanos
 	s.CoStallNanos += o.CoStallNanos
-	if o.CoMaxInFlight > s.CoMaxInFlight {
-		s.CoMaxInFlight = o.CoMaxInFlight
+	s.CoMaxInFlight = max(s.CoMaxInFlight, o.CoMaxInFlight)
+	if len(o.KeyAborts) > 0 && s.KeyAborts == nil {
+		s.KeyAborts = make(map[HotKey]uint64, len(o.KeyAborts))
 	}
+	for k, v := range o.KeyAborts {
+		s.KeyAborts[k] += v
+	}
+	s.QueueWaits += o.QueueWaits
+	s.QueueWaitNanos += o.QueueWaitNanos
+	s.QueueWaitHist.Merge(&o.QueueWaitHist)
+	s.ROVerbs += o.ROVerbs
+	s.ROWakeups += o.ROWakeups
 }
 
 // NewWorker creates worker id on this engine.
