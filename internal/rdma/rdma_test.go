@@ -145,10 +145,10 @@ func TestRDMAReadDoesNotAbortHTMReader(t *testing.T) {
 
 func TestMultiLineWriteIsTornPerLine(t *testing.T) {
 	// The defining RDMA hazard (§4.3): a WRITE spanning lines is atomic
-	// per line only. A concurrent HTM read of 3 lines may therefore
-	// commit between two of the WRITE's line stores and see whole lines
-	// of different generations, but never a torn line: any line store
-	// that lands after the read registered the line aborts it.
+	// per line only. We can't easily force the interleaving, but we can
+	// verify the implementation writes line by line by checking a
+	// concurrent HTM read of 3 lines never commits a mixed view (HTM
+	// aborts) while a plain racing byte inspection can see mixes.
 	net, engs := newFabric(t, 2, Config{})
 	var clk sim.Clock
 	qp := net.NewQP(0, 1, &clk)
@@ -177,12 +177,10 @@ func TestMultiLineWriteIsTornPerLine(t *testing.T) {
 		if tx.Commit() != nil {
 			continue
 		}
-		for l := 0; l < len(b); l += sim.CachelineSize {
-			line := b[l : l+sim.CachelineSize]
-			for _, c := range line {
-				if c != line[0] {
-					t.Fatalf("committed HTM read saw a torn cache line at byte %d", l)
-				}
+		first := b[0]
+		for _, c := range b {
+			if c != first {
+				t.Fatal("committed HTM read saw torn RDMA write")
 			}
 		}
 	}
